@@ -14,14 +14,13 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .generator import GenSpec, generate
 from .model import ContinuousDomain, load_problem, save_problem
 from .oracle import GridSpec, centralized_gcpso, grid_search
 from .rng import derive_seed
-from .runtime import Simulator
+from .runtime import Judged, RoundReport, Simulator
 from .swarm import SwarmParams
 
 OUT_DIR_ENV = "SWARMDCOP_OUT_DIR"
@@ -129,8 +128,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"trace: {trace_path}")
         return 0
 
-    log = (lambda line: print(line, file=sys.stderr)) if args.verbose else None
-    sim = Simulator(problem, params, args.iters, force_init=force_init, log=log)
+    sim = Simulator(problem, params, args.iters, force_init=force_init,
+                    on_event=_print_event if args.verbose else None)
     trace = sim.run_to_quiescence()
     trace.write_csv(trace_path)
     root = sim.root.state
@@ -142,69 +141,57 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_event(event):
+    """The `--verbose` log: one stderr line per verdict and per round."""
+    if isinstance(event, Judged):
+        best = event.best
+        print(f"round {event.round}: iteration {best.iteration + 1} judged, "
+              f"gbest={best.gbest_fitness!r} changed={best.gbest_changed}", file=sys.stderr)
+    elif isinstance(event, RoundReport):
+        print(f"round {event.round}: delivered {event.delivered}, "
+              f"fired {event.fired}, sent {event.sent}", file=sys.stderr)
+
+
 BENCH_HEADER = "instance,n,topology,seed,final_cost,iterations,rounds,envelopes,wall_ms"
 
 
-@dataclass(frozen=True)
-class BenchConfig:
-    """A resolved batch: instance template, solver parameters, destinations."""
-
-    topology: str
-    agents: int
-    instances: int
-    iterations: int
-    base_seed: int
-    out_dir: Path
-    name: str
-
-    def __post_init__(self):
-        if self.instances < 1:
-            raise ValueError("a bench needs at least one instance")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
+    """Solve a seeded batch; exit 1 if every instance failed."""
     _echo_config("bench", args)
-    config = BenchConfig(
-        topology=args.topology,
-        agents=args.agents,
-        instances=args.instances,
-        iterations=args.iters,
-        base_seed=args.seed,
-        out_dir=_out_dir(args.out_dir),
-        name=args.name,
-    )
-    out = config.out_dir
+    if args.instances < 1:
+        raise ValueError("a bench needs at least one instance")
+    if args.iters < 1:
+        raise ValueError("iterations must be >= 1")
+    out = _out_dir(args.out_dir)
     rows: list[str] = []
     finals: list[float] = []
     walls: list[float] = []
     rounds_list: list[int] = []
     env_per_iter: list[float] = []
 
-    for k in range(config.instances):
-        seed_k = derive_seed(config.base_seed, k)
-        stem = f"{config.name}_{k}"
+    for k in range(args.instances):
+        seed_k = derive_seed(args.seed, k)
+        stem = f"{args.name}_{k}"
         try:
             problem = generate(_gen_spec(args, seed_k))
             save_problem(problem, out / f"{stem}.problem.json")
             params = _params(args, seed_k)
             start = time.perf_counter()
-            sim = Simulator(problem, params, config.iterations)
+            sim = Simulator(problem, params, args.iters)
             trace = sim.run_to_quiescence()
             wall_ms = (time.perf_counter() - start) * 1000.0
             trace.write_csv(out / f"{stem}.trace.csv")
             finals.append(trace.final_gbest)
             walls.append(wall_ms)
             rounds_list.append(sim.round)
-            env_per_iter.append(sim.cum_envelopes / config.iterations)
-            rows.append(f"{k},{config.agents},{config.topology},{seed_k},"
-                        f"{trace.final_gbest!r},{config.iterations},{sim.round},"
+            env_per_iter.append(sim.cum_envelopes / args.iters)
+            rows.append(f"{k},{args.agents},{args.topology},{seed_k},"
+                        f"{trace.final_gbest!r},{args.iters},{sim.round},"
                         f"{sim.cum_envelopes},{wall_ms:.3f}")
         except Exception as exc:  # record the failure, keep the batch going
-            print(f"instance {k} failed: {exc}", file=sys.stderr)
-            rows.append(f"{k},{config.agents},{config.topology},{seed_k},nan,"
-                        f"{config.iterations},0,0,nan")
+            print(f"instance {k} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+            rows.append(f"{k},{args.agents},{args.topology},{seed_k},nan,"
+                        f"{args.iters},0,0,nan")
 
     if finals:
         mean_cost = statistics.fmean(finals)
@@ -214,17 +201,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
         mean_env = statistics.fmean(env_per_iter)
     else:
         mean_cost = std_cost = mean_wall = mean_rounds = mean_env = math.nan
-    rows.append(f"aggregate,{config.agents},{config.topology},{config.base_seed},"
-                f"{mean_cost!r},{config.iterations},{mean_rounds:.1f},{mean_env:.1f},{mean_wall:.3f}")
+    rows.append(f"aggregate,{args.agents},{args.topology},{args.seed},"
+                f"{mean_cost!r},{args.iters},{mean_rounds:.1f},{mean_env:.1f},{mean_wall:.3f}")
 
-    bench_path = out / f"{config.name}.csv"
+    bench_path = out / f"{args.name}.csv"
     with open(bench_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(BENCH_HEADER + "\n")
         fh.write("\n".join(rows) + "\n")
     print(f"aggregate: final_cost mean={mean_cost!r} std={std_cost!r} "
           f"mean_wall_ms={mean_wall:.3f} mean_envelopes_per_iter={mean_env:.1f}")
     print(f"wrote {bench_path}")
-    return 0
+    return 0 if finals else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Literal
 
-from .model import Constraint, ContinuousDomain, Problem, QuadraticCost
+from .model import Constraint, ContinuousDomain, Problem, QuadraticCost, is_connected
 from .rng import SplitMix64
 
 Topology = Literal["erdos_renyi", "scale_free", "random_tree"]
@@ -47,23 +47,6 @@ class GenSpec:
             raise ValueError(f"unknown topology {self.topology!r}")
 
 
-def _connected(n: int, edges: list[tuple[int, int]]) -> bool:
-    if n == 1:
-        return True
-    adjacency: dict[int, list[int]] = {v: [] for v in range(n)}
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        for nbr in adjacency[frontier.pop()]:
-            if nbr not in seen:
-                seen.add(nbr)
-                frontier.append(nbr)
-    return len(seen) == n
-
-
 def _erdos_renyi_edges(n: int, p: float, stream: SplitMix64) -> list[tuple[int, int]]:
     # one uniform per ordered pair (u < v); whole graph resampled until connected
     for _ in range(_MAX_RESAMPLES):
@@ -73,7 +56,7 @@ def _erdos_renyi_edges(n: int, p: float, stream: SplitMix64) -> list[tuple[int, 
             for v in range(u + 1, n)
             if stream.random() < p
         ]
-        if _connected(n, edges):
+        if is_connected(range(n), edges):
             return edges
     raise RuntimeError(
         f"no connected graph after {_MAX_RESAMPLES} resamples (n={n}, p={p})"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 
 class ProblemFormatError(ValueError):
@@ -77,6 +77,23 @@ def evaluate_edge(cost: QuadraticCost, xi, xj):
     return cost.a * xi * xi + cost.b * xi * xj + cost.c * xj * xj
 
 
+def is_connected(nodes: Iterable, edges: Iterable[tuple]) -> bool:
+    """True iff the undirected graph on one or more `nodes` is connected."""
+    adjacency: dict = {v: [] for v in nodes}
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    start = next(iter(adjacency))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for nbr in adjacency[frontier.pop()]:
+            if nbr not in seen:
+                seen.add(nbr)
+                frontier.append(nbr)
+    return len(seen) == len(adjacency)
+
+
 @dataclass
 class Problem:
     """An instance: agents (id -> box domain) plus binary constraints.
@@ -89,6 +106,7 @@ class Problem:
     constraints: list[Constraint]
     ids: list[str] = field(init=False)
     ordinals: dict[str, int] = field(init=False)
+    _by_pair: dict[frozenset[str], Constraint] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.domains:
@@ -96,7 +114,7 @@ class Problem:
         self.ids = sorted(self.domains)
         self.domains = {a: self.domains[a] for a in self.ids}
         self.ordinals = {a: k for k, a in enumerate(self.ids)}
-        seen_pairs = set()
+        self._by_pair = {}
         for idx, con in enumerate(self.constraints):
             for end in (con.i, con.j):
                 if end not in self.domains:
@@ -104,27 +122,13 @@ class Problem:
                         f"constraints[{idx}].scope: unknown agent {end!r}"
                     )
             pair = frozenset((con.i, con.j))
-            if pair in seen_pairs:
+            if pair in self._by_pair:
                 raise ProblemFormatError(
                     f"constraints[{idx}]: duplicate constraint between {con.i!r} and {con.j!r}"
                 )
-            seen_pairs.add(pair)
-        if not self._connected():
+            self._by_pair[pair] = con
+        if not is_connected(self.ids, (con.scope for con in self.constraints)):
             raise ProblemFormatError("constraint graph is not connected")
-
-    def _connected(self) -> bool:
-        if len(self.ids) == 1:
-            return True
-        adjacency = self.neighbors()
-        seen = {self.ids[0]}
-        frontier = [self.ids[0]]
-        while frontier:
-            nxt = frontier.pop()
-            for nbr in adjacency[nxt]:
-                if nbr not in seen:
-                    seen.add(nbr)
-                    frontier.append(nbr)
-        return len(seen) == len(self.ids)
 
     def neighbors(self) -> dict[str, list[str]]:
         """Adjacency lists in alphabetical order."""
@@ -135,10 +139,10 @@ class Problem:
         return {a: sorted(nbrs) for a, nbrs in adjacency.items()}
 
     def constraint_between(self, u: str, v: str) -> Constraint:
-        for con in self.constraints:
-            if {con.i, con.j} == {u, v}:
-                return con
-        raise KeyError(f"no constraint between {u!r} and {v!r}")
+        try:
+            return self._by_pair[frozenset((u, v))]
+        except KeyError:
+            raise KeyError(f"no constraint between {u!r} and {v!r}") from None
 
     @property
     def n_agents(self) -> int:

@@ -46,9 +46,6 @@ def build_bfs_pseudotree(problem: Problem) -> PseudoTree:
                 parent[nbr] = current
                 children[current].append(nbr)
                 queue.append(nbr)
-    if len(depth) != problem.n_agents:
-        missing = sorted(set(problem.ids) - set(depth))
-        raise ValueError(f"constraint graph is disconnected; unreachable: {missing}")
 
     def key(agent: str) -> tuple[int, str]:
         return (depth[agent], agent)

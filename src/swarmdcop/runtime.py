@@ -16,6 +16,11 @@ One machine per agent. Each iteration runs two phases over the pseudo-tree:
 Delivery is synchronous: an envelope sent in round r arrives in round r+1,
 and agents fire in ordinal order within a round. Runs are bit-reproducible
 from (problem, params).
+
+A run is observed through one optional callable, `Simulator(on_event=...)`,
+which receives every sent `Envelope`, every `Moved` agent, every `Judged`
+iteration and every round's `RoundReport` as they happen. Without it the
+runtime keeps no record beyond the trace and its counters.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -106,12 +112,41 @@ def parse_trace_csv(text: str) -> AnytimeTrace:
     return AnytimeTrace(rows)
 
 
+@dataclass(slots=True)
+class Moved:
+    """An agent's components of all K particles from `iteration` on; iteration 0
+    is the initial position. Emitted in the round the agent moved."""
+
+    round: int
+    agent: str
+    iteration: int
+    position: np.ndarray
+
+
+@dataclass(slots=True)
+class Judged:
+    """The root's verdict on iteration `best.iteration` and the aggregated
+    fitness vector it judged, in the round the trace row was written."""
+
+    round: int
+    best: BestInfo
+    fitness: np.ndarray
+
+
+@dataclass(slots=True)
+class RoundReport:
+    round: int
+    delivered: int
+    fired: int
+    sent: int
+
+
 class AgentMachine:
     """One agent: owns its swarm components, acts only on received envelopes."""
 
     def __init__(self, agent_id: str, problem: Problem, tree: PseudoTree,
                  params: SwarmParams, max_iterations: int,
-                 forced: np.ndarray | None, keep_position_history: bool):
+                 forced: np.ndarray | None, on_event):
         self.id = agent_id
         self.ordinal = problem.ordinals[agent_id]
         self.domain = problem.domains[agent_id]
@@ -122,12 +157,10 @@ class AgentMachine:
         self.L = tree.L[agent_id]
         self.parent = tree.parent.get(agent_id)
         self.expected = tree.expected_fitness_msgs[agent_id]
-        self.constraint_with = {
-            nbr: problem.constraint_between(agent_id, nbr) for nbr in self.H + self.L
-        }
+        self.constraint_with = {nbr: problem.constraint_between(agent_id, nbr) for nbr in self.H}
         self.streams = AgentStreams(params.seed, self.ordinal)
         self.forced = forced
-        self.keep_position_history = keep_position_history
+        self.on_event = on_event
 
         self.state: AgentSwarmState | None = None
         self.initialized = False
@@ -138,9 +171,6 @@ class AgentMachine:
         self.best_buf: dict[int, BestInfo] = {}
         self.acc: dict[int, np.ndarray] = {}
         self.acc_count: dict[int, int] = {}
-        self.sent_counts: dict[tuple[int, Kind], int] = {}
-        self.applied_best_round: dict[int, int] = {}
-        self.position_history: dict[int, np.ndarray] = {}
         # root-only running bests and completed verdicts
         self.pbest_fitness = np.full(params.K, math.inf)
         self.gbest_fitness = math.inf
@@ -172,8 +202,8 @@ class AgentMachine:
         if not self.initialized:
             self.initialized = True
             self.state = fresh_state(self.params.K, self.domain, self.streams, self.forced)
-            if self.keep_position_history:
-                self.position_history[0] = self.state.position
+            if self.on_event is not None:
+                self.on_event(Moved(round_no, self.id, 0, self.state.position))
             for j in self.L:
                 out.append(Envelope(Kind.VALUE, 0, self.id, j, values=self.state.position))
         for env in inbox:
@@ -210,10 +240,9 @@ class AgentMachine:
     def _apply_update(self, best: BestInfo, round_no: int, out: list[Envelope]):
         r1, r2 = self.streams.update_uniforms(best.iteration, self.params.K)
         apply_best(self.state, best, self.params, self.domain, r1, r2)
-        self.applied_best_round[best.iteration] = round_no
         self.own_iter = best.iteration + 1
-        if self.keep_position_history:
-            self.position_history[self.own_iter] = self.state.position
+        if self.on_event is not None:
+            self.on_event(Moved(round_no, self.id, self.own_iter, self.state.position))
         # the final verdict still floods down so every agent consumes it; the
         # `done` guard on the evaluation phase stops the cascade afterwards
         for j in self.L:
@@ -260,35 +289,25 @@ class AgentMachine:
         return f"{self.id}@iter {self.own_iter} awaiting " + "; ".join(waits)
 
 
-@dataclass(slots=True)
-class RoundReport:
-    round: int
-    delivered: int
-    fired: int
-    sent: int
-
-
 class Simulator:
     """Round executor: deliver last round's envelopes, fire recipients in
-    ordinal order, queue their sends for the next round."""
+    ordinal order, queue their sends for the next round.
+
+    `on_event`, if given, is called with each `Envelope` as it is sent (it is
+    delivered the next round), each `Moved`, each `Judged` and each round's
+    `RoundReport`. Records share arrays with the run: do not mutate them.
+    """
 
     def __init__(self, problem: Problem, params: SwarmParams, iterations: int,
                  force_init: dict[str, list[float]] | None = None,
-                 keep_position_history: bool = False,
-                 keep_fitness_history: bool = False,
-                 record_envelopes: bool = False,
-                 log=None):
+                 on_event: Callable[[object], None] | None = None):
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
-        self.log = log  # callable(str) for the per-round event log, or None
+        self.on_event = on_event
         self.problem = problem
         self.params = params
         self.iterations = iterations
         self.tree = build_bfs_pseudotree(problem)
-        self.keep_fitness_history = keep_fitness_history
-        self.record_envelopes = record_envelopes
-        self.fitness_history: dict[int, np.ndarray] = {}
-        self.delivered_log: list[tuple[int, Envelope]] = []
 
         if force_init is not None:
             missing = [a for a in problem.ids if a not in force_init]
@@ -298,7 +317,7 @@ class Simulator:
             AgentMachine(
                 agent_id, problem, self.tree, params, iterations,
                 np.asarray(force_init[agent_id], dtype=np.float64) if force_init else None,
-                keep_position_history,
+                on_event,
             )
             for agent_id in problem.ids
         ]
@@ -311,15 +330,15 @@ class Simulator:
         self.trace = AnytimeTrace()
 
         for machine in self.machines:
-            self._register_sends(machine, machine.fire(0, []))
+            self._register_sends(machine.fire(0, []))
         self._drain_root(0)
 
-    def _register_sends(self, machine: AgentMachine, envs: list[Envelope]):
+    def _register_sends(self, envs: list[Envelope]):
         for env in envs:
             self.cum_envelopes += 1
             self.cum_scalars += envelope_scalars(env, self.params.K)
-            key = (env.iteration, env.kind)
-            machine.sent_counts[key] = machine.sent_counts.get(key, 0) + 1
+            if self.on_event is not None:
+                self.on_event(env)
         self.queue.extend(envs)
 
     def _drain_root(self, round_no: int):
@@ -331,11 +350,8 @@ class Simulator:
                 envelopes=self.cum_envelopes,
                 scalars=self.cum_scalars,
             ))
-            if self.keep_fitness_history:
-                self.fitness_history[t] = fit
-            if self.log is not None:
-                self.log(f"round {round_no}: iteration {t + 1} judged, "
-                         f"gbest={best.gbest_fitness!r} changed={best.gbest_changed}")
+            if self.on_event is not None:
+                self.on_event(Judged(round_no, best, fit))
         self.root.completed.clear()
 
     @property
@@ -349,20 +365,17 @@ class Simulator:
         inboxes: dict[str, list[Envelope]] = {}
         for env in deliveries:
             inboxes.setdefault(env.recipient, []).append(env)
-            if self.record_envelopes:
-                self.delivered_log.append((self.round, env))
         fired = 0
         sent_before = self.cum_envelopes
         for machine in self.machines:
             inbox = inboxes.get(machine.id)
             if inbox is not None:
                 fired += 1
-                self._register_sends(machine, machine.fire(self.round, inbox))
+                self._register_sends(machine.fire(self.round, inbox))
                 self._drain_root(self.round)
         report = RoundReport(self.round, len(deliveries), fired, self.cum_envelopes - sent_before)
-        if self.log is not None:
-            self.log(f"round {report.round}: delivered {report.delivered}, "
-                     f"fired {report.fired}, sent {report.sent}")
+        if self.on_event is not None:
+            self.on_event(report)
         return report
 
     def run_to_quiescence(self) -> AnytimeTrace:

@@ -64,13 +64,11 @@ class BestInfo:
 class AgentSwarmState:
     """One agent's components of the K particles plus its verdict-tracking state.
 
-    `position` and `evaluated_position` coincide between updates; the refresh
-    path reads only `evaluated_position` (the values whose verdict is pending).
+    Between updates `position` holds the values whose verdict is pending.
     """
 
     position: np.ndarray
     velocity: np.ndarray
-    evaluated_position: np.ndarray
     pbest_component: np.ndarray
     gbest_component: float
     gbest_index: int = 0
@@ -102,7 +100,6 @@ def fresh_state(K: int, domain: ContinuousDomain, streams: AgentStreams,
     return AgentSwarmState(
         position=positions,
         velocity=velocities,
-        evaluated_position=positions,
         pbest_component=positions.copy(),
         gbest_component=float(positions[0]),
     )
@@ -177,8 +174,7 @@ def apply_best(state: AgentSwarmState, best: BestInfo, params: SwarmParams,
                domain: ContinuousDomain, r1: np.ndarray, r2: np.ndarray):
     """Apply one verdict to an agent's state: refresh bests, counters, rho,
     then advance every particle component. Mutates `state` in place."""
-    state.pbest_component = np.where(best.improved, state.evaluated_position,
-                                     state.pbest_component)
+    state.pbest_component = np.where(best.improved, state.position, state.pbest_component)
     state.gbest_component = float(state.pbest_component[best.gbest_index])
     state.gbest_index = best.gbest_index
     state.s_c, state.f_c = counters_update(
@@ -198,4 +194,3 @@ def apply_best(state: AgentSwarmState, best: BestInfo, params: SwarmParams,
         v_new = np.minimum(np.maximum(v_new, -domain.width), domain.width)
     state.velocity = v_new
     state.position = position_update(state.position, v_new, domain)
-    state.evaluated_position = state.position

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 
 from swarmdcop import Constraint, ContinuousDomain, Problem, QuadraticCost
+from swarmdcop.runtime import Envelope, Judged, Moved, RoundReport
 
 
 def make_fig1() -> Problem:
@@ -36,3 +39,30 @@ def fig1() -> Problem:
 @pytest.fixture
 def fig1_force() -> dict[str, list[float]]:
     return {a: list(v) for a, v in FIG1_FORCE.items()}
+
+
+class Recorder:
+    """A `Simulator(on_event=...)` callable that keeps every record, by kind."""
+
+    def __init__(self):
+        self.sent: list[Envelope] = []
+        self.moved: list[Moved] = []
+        self.judged: list[Judged] = []
+        self.rounds: list[RoundReport] = []
+
+    def __call__(self, event):
+        kinds = {Envelope: self.sent, Moved: self.moved, Judged: self.judged,
+                 RoundReport: self.rounds}
+        kinds[type(event)].append(event)
+
+    def sent_by(self, agent: str) -> Counter:
+        """(iteration, Kind) -> number of envelopes `agent` sent."""
+        return Counter((e.iteration, e.kind) for e in self.sent if e.sender == agent)
+
+    def positions(self, agent: str) -> dict:
+        """iteration -> the agent's components of all particles."""
+        return {m.iteration: m.position for m in self.moved if m.agent == agent}
+
+    def fitness(self) -> dict:
+        """iteration -> the fitness vector the root judged."""
+        return {j.best.iteration: j.fitness for j in self.judged}

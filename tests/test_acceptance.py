@@ -27,7 +27,7 @@ from swarmdcop.cli import main as cli_main
 from swarmdcop.runtime import Kind, Simulator
 from swarmdcop.swarm import counters_update, rho_update, root_update
 
-from conftest import FIG1_FITNESS_P1, FIG1_FITNESS_P2
+from conftest import FIG1_FITNESS_P1, FIG1_FITNESS_P2, Recorder
 
 
 def _rel_close(a, b, tol=1e-9):
@@ -36,10 +36,10 @@ def _rel_close(a, b, tol=1e-9):
 
 def test_c1_golden_worked_example(fig1, fig1_force):
     start = time.perf_counter()
-    sim = Simulator(fig1, SwarmParams(K=2, seed=0), 1,
-                    force_init=fig1_force, keep_fitness_history=True)
+    rec = Recorder()
+    sim = Simulator(fig1, SwarmParams(K=2, seed=0), 1, force_init=fig1_force, on_event=rec)
     trace = sim.run_to_quiescence()
-    fitness = sim.fitness_history[0]
+    fitness = rec.fitness()[0]
     assert fitness[0] == pytest.approx(FIG1_FITNESS_P1, abs=1e-9)
     assert fitness[1] == pytest.approx(FIG1_FITNESS_P2, abs=1e-9)
     assert sim.root.pbest_fitness[0] == pytest.approx(94.25, abs=1e-9)
@@ -52,12 +52,12 @@ def test_c1_golden_worked_example(fig1, fig1_force):
 
 
 def test_c2_edge_cost_goldens(fig1, fig1_force):
-    sim = Simulator(fig1, SwarmParams(K=2, seed=0), 1,
-                    force_init=fig1_force, record_envelopes=True)
-    sim.run_to_quiescence()
+    rec = Recorder()
+    Simulator(fig1, SwarmParams(K=2, seed=0), 1,
+              force_init=fig1_force, on_event=rec).run_to_quiescence()
     edges = {
         (e.sender, e.recipient): e.fitness
-        for _, e in sim.delivered_log
+        for e in rec.sent
         if e.kind is Kind.EDGE_FITNESS and e.iteration == 0
     }
     expected = {
@@ -131,18 +131,20 @@ def test_c6_message_accounting():
     tree = build_bfs_pseudotree(problem)
     iterations = 20
     K = 25
-    sim = Simulator(problem, SwarmParams(K=K, seed=1), iterations)
+    rec = Recorder()
+    sim = Simulator(problem, SwarmParams(K=K, seed=1), iterations, on_event=rec)
     sim.run_to_quiescence()
-    for machine in sim.machines:
-        h, l = len(tree.H[machine.id]), len(tree.L[machine.id])
-        agg = 1 if (machine.id != tree.root and l > 0) else 0
+    for agent in problem.ids:
+        counts = rec.sent_by(agent)
+        h, l = len(tree.H[agent]), len(tree.L[agent])
+        agg = 1 if (agent != tree.root and l > 0) else 0
         for t in range(1, iterations):
             sent = (
-                machine.sent_counts.get((t, Kind.UPDATE), 0)
-                + machine.sent_counts.get((t, Kind.EDGE_FITNESS), 0)
-                + machine.sent_counts.get((t, Kind.AGG_FITNESS), 0)
+                counts[(t, Kind.UPDATE)]
+                + counts[(t, Kind.EDGE_FITNESS)]
+                + counts[(t, Kind.AGG_FITNESS)]
             )
-            assert sent == l + h + agg, (machine.id, t)
+            assert sent == l + h + agg, (agent, t)
     # payload scalars grow as K * messages (each envelope carries Theta(K))
     assert K * sim.cum_envelopes <= sim.cum_scalars <= (3 * K + 3) * sim.cum_envelopes
     sim2 = Simulator(problem, SwarmParams(K=2 * K, seed=1), iterations)

@@ -129,27 +129,59 @@ def test_cli_is_a_thin_shell_over_the_library(fig1_files, tmp_path, capsys):
 
 
 def test_solve_verbose_event_log(fig1_files, tmp_path, capsys):
-    problem_path, _ = fig1_files
-    assert main(["solve", str(problem_path), "--particles", "4", "--iters", "2",
-                 "--seed", "1", "--trace", str(tmp_path / "v.csv"), "--verbose"]) == 0
-    err = capsys.readouterr().err
-    assert "judged" in err and "delivered" in err
+    # the pinned particles of the worked example: P2's 32.99 wins iteration 1
+    problem_path, force_path = fig1_files
+    assert main(["solve", str(problem_path), "--particles", "2", "--iters", "2",
+                 "--seed", "0", "--force-init", str(force_path),
+                 "--trace", str(tmp_path / "v.csv"), "--verbose"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "round 1: delivered 4, fired 3, sent 4",
+        "round 2: delivered 4, fired 2, sent 1",
+        "round 3: iteration 1 judged, gbest=32.989999999999995 changed=True",
+        "round 3: delivered 1, fired 1, sent 3",
+        "round 4: delivered 3, fired 3, sent 3",
+        "round 5: delivered 3, fired 2, sent 2",
+        "round 6: delivered 2, fired 2, sent 1",
+        "round 7: iteration 2 judged, gbest=10.415435401730344 changed=True",
+        "round 7: delivered 1, fired 1, sent 3",
+        "round 8: delivered 3, fired 3, sent 1",
+        "round 9: delivered 1, fired 1, sent 0",
+    ]
 
 
 def test_bench_records_partial_failures(tmp_path, capsys):
-    # scale-free with m >= n is infeasible: every instance fails but the
-    # batch still completes and records nan rows
+    # scale-free with m >= n is infeasible: every instance fails, the batch
+    # still completes and records nan rows, and the exit code reports it
     rc = main([
         "bench", "--topology", "sf", "--agents", "2", "--m", "2",
         "--instances", "2", "--iters", "5", "--particles", "4",
         "--out-dir", str(tmp_path), "--name", "broken",
     ])
-    assert rc == 0
+    assert rc == 1
     captured = capsys.readouterr()
-    assert "failed" in captured.err
+    assert "instance 0 failed: ValueError: scale_free needs" in captured.err
     lines = (tmp_path / "broken.csv").read_text().splitlines()
     assert len(lines) == 1 + 2 + 1
     assert lines[1].split(",")[4] == "nan"
+
+
+def test_bench_exits_0_when_some_instances_succeed(tmp_path, monkeypatch, capsys):
+    import swarmdcop.cli as cli
+
+    generate = cli.generate
+
+    def first_instance_breaks(spec):
+        if spec.seed == cli.derive_seed(0, 0):
+            raise RuntimeError("boom")
+        return generate(spec)
+
+    monkeypatch.setattr(cli, "generate", first_instance_breaks)
+    rc = main(["bench", "--topology", "tree", "--agents", "3", "--instances", "2",
+               "--iters", "3", "--particles", "4", "--out-dir", str(tmp_path), "--name", "half"])
+    assert rc == 0
+    assert "instance 0 failed: RuntimeError: boom" in capsys.readouterr().err
+    rows = (tmp_path / "half.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4] == "nan" for row in rows] == [True, False, False]
 
 
 def test_usage_error_exits_2(capsys):

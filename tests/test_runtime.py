@@ -14,7 +14,7 @@ from swarmdcop import (
 )
 from swarmdcop.runtime import Kind, Simulator, envelope_scalars, parse_trace_csv
 
-from conftest import FIG1_FITNESS_P1, FIG1_FITNESS_P2
+from conftest import FIG1_FITNESS_P1, FIG1_FITNESS_P2, Recorder
 
 
 def _forced_sim(fig1, fig1_force, iterations=1, **kw):
@@ -23,9 +23,10 @@ def _forced_sim(fig1, fig1_force, iterations=1, **kw):
 
 
 def test_worked_example_first_iteration(fig1, fig1_force):
-    sim = _forced_sim(fig1, fig1_force, keep_fitness_history=True)
+    rec = Recorder()
+    sim = _forced_sim(fig1, fig1_force, on_event=rec)
     trace = sim.run_to_quiescence()
-    fitness = sim.fitness_history[0]
+    fitness = rec.fitness()[0]
     assert fitness[0] == pytest.approx(FIG1_FITNESS_P1, abs=1e-9)
     assert fitness[1] == pytest.approx(FIG1_FITNESS_P2, abs=1e-9)
     assert sim.root.gbest_index == 1
@@ -34,11 +35,11 @@ def test_worked_example_first_iteration(fig1, fig1_force):
 
 
 def test_worked_example_edge_messages(fig1, fig1_force):
-    sim = _forced_sim(fig1, fig1_force, record_envelopes=True)
-    sim.run_to_quiescence()
+    rec = Recorder()
+    _forced_sim(fig1, fig1_force, on_event=rec).run_to_quiescence()
     edges = {
         (e.sender, e.recipient): e.fitness.tolist()
-        for _, e in sim.delivered_log
+        for e in rec.sent
         if e.kind is Kind.EDGE_FITNESS and e.iteration == 0
     }
     assert edges[("x4", "x3")] == pytest.approx([274.75, 1.0], abs=1e-9)
@@ -49,25 +50,23 @@ def test_worked_example_edge_messages(fig1, fig1_force):
 
 def test_worked_example_aggregate_forwarding(fig1, fig1_force):
     # x3 forwards the x3-x4 edge cost it received from x4, untouched
-    sim = _forced_sim(fig1, fig1_force, record_envelopes=True)
-    sim.run_to_quiescence()
-    aggs = [e for _, e in sim.delivered_log if e.kind is Kind.AGG_FITNESS]
+    rec = Recorder()
+    _forced_sim(fig1, fig1_force, on_event=rec).run_to_quiescence()
+    aggs = [e for e in rec.sent if e.kind is Kind.AGG_FITNESS]
     assert len(aggs) == 1
     assert (aggs[0].sender, aggs[0].recipient) == ("x3", "x1")
     assert aggs[0].fitness.tolist() == pytest.approx([274.75, 1.0], abs=1e-9)
 
 
 def test_worked_example_leaf_message_counts(fig1, fig1_force):
-    sim = _forced_sim(fig1, fig1_force)
-    sim.run_to_quiescence()
-    by_id = {m.id: m for m in sim.machines}
-    x4 = by_id["x4"]
-    assert x4.sent_counts.get((0, Kind.EDGE_FITNESS)) == 2   # to x1 and x3
-    assert not any(kind is Kind.AGG_FITNESS for _, kind in x4.sent_counts)
+    rec = Recorder()
+    _forced_sim(fig1, fig1_force, on_event=rec).run_to_quiescence()
+    x4 = rec.sent_by("x4")
+    assert x4[(0, Kind.EDGE_FITNESS)] == 2   # to x1 and x3
+    assert not any(kind is Kind.AGG_FITNESS for _, kind in x4)
     # x2 has an empty L: it never emits VALUE or AGG_FITNESS
-    x2 = by_id["x2"]
     assert not any(kind in (Kind.VALUE, Kind.AGG_FITNESS, Kind.UPDATE)
-                   for _, kind in x2.sent_counts)
+                   for _, kind in rec.sent_by("x2"))
 
 
 def test_root_first_aggregation_round(fig1, fig1_force):
@@ -105,6 +104,15 @@ def test_trace_is_deterministic():
     assert a == b
 
 
+def test_observing_a_run_leaves_its_trace_unchanged():
+    problem = generate(GenSpec(topology="scale_free", n=9, seed=3, m=2))
+    params = SwarmParams(K=12, seed=6)
+    rec = Recorder()
+    observed = Simulator(problem, params, 30, on_event=rec).run_to_quiescence()
+    assert rec.sent and rec.moved and rec.judged and rec.rounds
+    assert observed.to_csv() == run(problem, params, 30).to_csv()
+
+
 def test_trace_csv_roundtrip():
     problem = generate(GenSpec(topology="random_tree", n=5, seed=2))
     trace = run(problem, SwarmParams(K=8, seed=8), 12)
@@ -122,11 +130,12 @@ def test_anytime_gbest_never_increases():
 def test_root_fitness_conserves_global_cost():
     problem = generate(GenSpec(topology="erdos_renyi", n=7, seed=33, p=0.4))
     params = SwarmParams(K=6, seed=12)
-    sim = Simulator(problem, params, 15,
-                    keep_fitness_history=True, keep_position_history=True)
-    sim.run_to_quiescence()
-    positions = {m.id: m.position_history for m in sim.machines}
-    for t, fitness in sim.fitness_history.items():
+    rec = Recorder()
+    Simulator(problem, params, 15, on_event=rec).run_to_quiescence()
+    positions = {a: rec.positions(a) for a in problem.ids}
+    fitness_by_iteration = rec.fitness()
+    assert sorted(fitness_by_iteration) == list(range(15))
+    for t, fitness in fitness_by_iteration.items():
         for k in range(params.K):
             assignment = {a: float(positions[a][t][k]) for a in problem.ids}
             expected = global_cost(problem, assignment)
@@ -137,35 +146,37 @@ def test_message_counts_match_formula():
     problem = generate(GenSpec(topology="erdos_renyi", n=9, seed=14, p=0.35))
     tree = build_bfs_pseudotree(problem)
     iterations = 12
-    sim = Simulator(problem, SwarmParams(K=5, seed=3), iterations)
-    sim.run_to_quiescence()
-    for machine in sim.machines:
-        h, l = len(tree.H[machine.id]), len(tree.L[machine.id])
-        agg = 1 if (machine.id != tree.root and l > 0) else 0
+    rec = Recorder()
+    Simulator(problem, SwarmParams(K=5, seed=3), iterations, on_event=rec).run_to_quiescence()
+    for agent in problem.ids:
+        sent = rec.sent_by(agent)
+        h, l = len(tree.H[agent]), len(tree.L[agent])
+        agg = 1 if (agent != tree.root and l > 0) else 0
         # iteration 0 sends VALUE instead of UPDATE; afterwards the formula
         # |L| + |H| + (non-root with lower neighbors) holds exactly per tag
-        assert machine.sent_counts.get((0, Kind.VALUE), 0) == l
-        assert machine.sent_counts.get((0, Kind.EDGE_FITNESS), 0) == h
-        assert machine.sent_counts.get((0, Kind.AGG_FITNESS), 0) == agg
+        assert sent[(0, Kind.VALUE)] == l
+        assert sent[(0, Kind.EDGE_FITNESS)] == h
+        assert sent[(0, Kind.AGG_FITNESS)] == agg
         for t in range(1, iterations):
-            assert machine.sent_counts.get((t, Kind.UPDATE), 0) == l
-            assert machine.sent_counts.get((t, Kind.EDGE_FITNESS), 0) == h
-            assert machine.sent_counts.get((t, Kind.AGG_FITNESS), 0) == agg
+            assert sent[(t, Kind.UPDATE)] == l
+            assert sent[(t, Kind.EDGE_FITNESS)] == h
+            assert sent[(t, Kind.AGG_FITNESS)] == agg
         # the final verdict floods down but triggers no further evaluation
-        assert machine.sent_counts.get((iterations, Kind.UPDATE), 0) == l
-        assert machine.sent_counts.get((iterations, Kind.EDGE_FITNESS), 0) == 0
+        assert sent[(iterations, Kind.UPDATE)] == l
+        assert sent[(iterations, Kind.EDGE_FITNESS)] == 0
 
 
 def test_best_info_propagation_bound():
     # every agent applies verdict t within depth(agent) rounds of its emission
     problem = generate(GenSpec(topology="scale_free", n=12, seed=6, m=2))
     tree = build_bfs_pseudotree(problem)
-    sim = Simulator(problem, SwarmParams(K=4, seed=9), 10)
-    trace = sim.run_to_quiescence()
+    rec = Recorder()
+    trace = Simulator(problem, SwarmParams(K=4, seed=9), 10, on_event=rec).run_to_quiescence()
     emitted = {row.iteration - 1: row.round for row in trace.rows}
-    for machine in sim.machines:
-        for t, applied_round in machine.applied_best_round.items():
-            assert applied_round <= emitted[t] + tree.depth[machine.id]
+    applied = [m for m in rec.moved if m.iteration > 0]  # moved by verdict iteration - 1
+    assert len(applied) == 10 * problem.n_agents
+    for m in applied:
+        assert m.round <= emitted[m.iteration - 1] + tree.depth[m.agent]
 
 
 def test_agents_replicate_counters_consistently():
@@ -215,26 +226,28 @@ def test_force_init_validation(fig1):
 
 
 def test_update_envelopes_batch_values_and_verdict(fig1, fig1_force):
-    sim = _forced_sim(fig1, fig1_force, iterations=3, record_envelopes=True)
-    sim.run_to_quiescence()
-    updates = [e for _, e in sim.delivered_log if e.kind is Kind.UPDATE]
+    rec = Recorder()
+    _forced_sim(fig1, fig1_force, iterations=3, on_event=rec).run_to_quiescence()
+    updates = [e for e in rec.sent if e.kind is Kind.UPDATE]
     assert updates, "expected UPDATE traffic"
     for env in updates:
         assert env.values is not None and env.best is not None
         assert env.best.iteration == env.iteration - 1
-    values_only = [e for _, e in sim.delivered_log if e.kind is Kind.VALUE]
+    values_only = [e for e in rec.sent if e.kind is Kind.VALUE]
     assert all(e.iteration == 0 and e.best is None for e in values_only)
 
 
 def test_envelope_scalars_accounting(fig1, fig1_force):
-    sim = _forced_sim(fig1, fig1_force, iterations=2, record_envelopes=True)
+    rec = Recorder()
+    sim = _forced_sim(fig1, fig1_force, iterations=2, on_event=rec)
     sim.run_to_quiescence()
     K = 2
     expected = 0
-    for _, env in sim.delivered_log:
+    for env in rec.sent:
         expected += envelope_scalars(env, K)
     assert sim.cum_scalars == expected
-    assert sim.cum_envelopes == len(sim.delivered_log)
+    assert sim.cum_envelopes == len(rec.sent)
+    assert sum(r.delivered for r in rec.rounds) == len(rec.sent)
 
 
 def test_iterations_must_be_positive(fig1):
@@ -243,12 +256,13 @@ def test_iterations_must_be_positive(fig1):
 
 
 def test_event_log_streams_rounds_and_verdicts(fig1, fig1_force):
-    lines = []
+    rec = Recorder()
     sim = Simulator(fig1, SwarmParams(K=2, seed=0), 2,
-                    force_init=fig1_force, log=lines.append)
+                    force_init=fig1_force, on_event=rec)
     sim.run_to_quiescence()
-    assert any(ln.startswith("round 3: iteration 1 judged") for ln in lines)
-    assert any("delivered" in ln and "fired" in ln for ln in lines)
+    assert (rec.judged[0].round, rec.judged[0].best.iteration) == (3, 0)
+    assert [r.round for r in rec.rounds] == list(range(1, sim.round + 1))
+    assert sum(r.sent for r in rec.rounds) + rec.rounds[0].delivered == sim.cum_envelopes
 
 
 def test_rho_reacts_over_a_long_run():

@@ -175,13 +175,13 @@ def test_best_fitness_sequences_never_increase(rounds):
         pbest, g_fit, g_idx = best.pbest_fitness, best.gbest_fitness, best.gbest_index
 
 
-def test_apply_best_refreshes_components_from_evaluated_positions():
+def test_apply_best_refreshes_components_from_judged_positions():
     domain = ContinuousDomain(-10.0, 10.0)
     params = SwarmParams(K=3, w=0.0, c1=0.0, c2=0.0, seed=1)
     state = fresh_state(3, domain, AgentStreams(1, 0), forced=np.array([1.0, -2.0, 5.0]))
     best = _verdict([10.0, 3.0, 8.0], g_idx=1, g_fit=3.0, changed=True,
                     improved=[False, True, True], t=0)
-    before = state.evaluated_position.copy()
+    before = state.position.copy()
     apply_best(state, best, params, domain, np.full(3, 0.5), np.full(3, 0.5))
     assert state.pbest_component.tolist() == [1.0, -2.0, 5.0]  # improved slots refreshed
     assert state.gbest_component == before[1]
