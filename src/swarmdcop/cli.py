@@ -95,14 +95,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_force_init(path: str | None) -> dict[str, list[float]] | None:
+def _load_force_init(path: str | None) -> dict | None:
     if path is None:
         return None
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("force-init file must map agent ids to position lists")
-    return {str(a): [float(v) for v in vals] for a, vals in doc.items()}
+    return doc  # the solvers check each agent's entry before any agent starts
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -132,7 +132,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                     on_event=_print_event if args.verbose else None)
     trace = sim.run_to_quiescence()
     trace.write_csv(trace_path)
-    root = sim.root.state
+    root = sim.root.root_state
     print(f"final gbest: {trace.final_gbest:.10g}")
     print(f"iterations: {args.iters}  rounds: {sim.round}  "
           f"envelopes: {sim.cum_envelopes}  scalars: {sim.cum_scalars}")

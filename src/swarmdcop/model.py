@@ -150,7 +150,8 @@ class Problem:
 
 
 def global_cost(problem: Problem, assignment: Mapping[str, float]) -> float:
-    """Sum of edge costs under a complete assignment, in constraint-list order."""
+    """Sum of edge costs under a complete assignment, in constraint-list order.
+    Values may be scalars or broadcastable arrays; no constraints cost 0.0."""
     for agent in problem.ids:
         if agent not in assignment:
             raise ValueError(f"assignment is missing agent {agent!r}")

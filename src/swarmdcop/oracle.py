@@ -1,65 +1,54 @@
 """Independent references for the distributed solver.
 
 `centralized_gcpso` runs the identical swarm arithmetic on full assignments
-with no message passing; for any (problem, params) its per-iteration
-global-best trace must match the distributed run within 1e-9 relative (the
-two sides sum edge costs in different association orders, everything else is
-bit-identical). `grid_search` exhaustively enumerates a rectangular grid and
-is the ground-truth oracle for tiny instances.
+with no message passing. The two sides differ only in the association order
+of the fitness sums (constraint-list order here, tree order in the runtime),
+so their particle trajectories are bit-identical until a strict '<' in
+`root_update` meets two fitness values that differ only by that rounding;
+from then on the swarms may part. Criterion c3 checks agreement within 1e-9
+relative over 100 iterations. Longer runs can leave it: ER n=20 (generator
+seed 1, p=0.2), K=200, solver seed (107 << 16) | 1 leaves 1e-9 at iteration
+401 of 500. `grid_search` exhaustively enumerates a rectangular grid and is
+the ground-truth oracle for tiny instances.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Problem, evaluate_edge
+# evaluate_edge stays bound here: solvebench's tracing test restores it in every module
+from .model import Problem, evaluate_edge, global_cost  # noqa: F401
 from .rng import AgentStreams
 from .runtime import AnytimeTrace, TraceRow
-from .swarm import SwarmParams, apply_best, fresh_state, root_update
+from .swarm import RootState, SwarmParams, apply_best, check_force_init, fresh_state, root_update
 
 
 def centralized_gcpso(problem: Problem, params: SwarmParams, iterations: int,
                       force_init: dict[str, list[float]] | None = None) -> AnytimeTrace:
     """Reference swarm over complete assignments; per-iteration gbest trace.
 
-    Fitness per particle accumulates in constraint-list order, bit-identical
-    to `global_cost` on that particle's assignment.
+    Each particle's fitness is `global_cost` of its assignment.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if force_init is not None:
-        missing = [a for a in problem.ids if a not in force_init]
-        if missing:
-            raise ValueError(f"force_init is missing agents: {missing}")
+    forced = check_force_init(force_init, problem.domains, params.K)
     streams = {a: AgentStreams(params.seed, problem.ordinals[a]) for a in problem.ids}
     states = {
-        a: fresh_state(
-            params.K, problem.domains[a], streams[a],
-            np.asarray(force_init[a], dtype=np.float64) if force_init else None,
-        )
+        a: fresh_state(params.K, problem.domains[a], streams[a], forced[a])
         for a in problem.ids
     }
-    pbest_fitness = np.full(params.K, math.inf)
-    gbest_fitness = math.inf
-    gbest_index = 0
+    root = RootState(np.full(params.K, np.inf))
 
     trace = AnytimeTrace()
     for t in range(iterations):
-        fitness = np.zeros(params.K)
-        for con in problem.constraints:
-            fitness = fitness + evaluate_edge(con.cost, states[con.i].position,
-                                              states[con.j].position)
-        best = root_update(fitness, pbest_fitness, gbest_fitness, gbest_index, t)
-        pbest_fitness = best.pbest_fitness
-        gbest_fitness = best.gbest_fitness
-        gbest_index = best.gbest_index
+        cost = global_cost(problem, {a: state.position for a, state in states.items()})
+        best = root_update(root, np.broadcast_to(cost, (params.K,)), params, t)
         for a in problem.ids:
             r1, r2 = streams[a].update_uniforms(t, params.K)
             apply_best(states[a], best, params, problem.domains[a], r1, r2)
-        trace.rows.append(TraceRow(t + 1, 0, float(gbest_fitness), 0, 0))
+        trace.rows.append(TraceRow(t + 1, 0, root.gbest_fitness, 0, 0))
     return trace
 
 
@@ -96,11 +85,9 @@ def grid_search(problem: Problem, grid: GridSpec) -> tuple[dict[str, float], flo
         view[ordinal] = -1
         return axes[ordinal].reshape(view)
 
-    cost = np.zeros(shape)
-    for con in problem.constraints:
-        cost = cost + evaluate_edge(
-            con.cost, along(problem.ordinals[con.i]), along(problem.ordinals[con.j])
-        )
+    cost = np.broadcast_to(
+        global_cost(problem, {a: along(k) for k, a in enumerate(problem.ids)}), shape
+    )
     flat_idx = int(np.argmin(cost))  # first minimum in C order == lexicographic
     indices = np.unravel_index(flat_idx, shape)
     assignment = {a: float(axes[k][indices[k]]) for k, a in enumerate(problem.ids)}

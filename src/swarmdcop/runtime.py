@@ -8,10 +8,10 @@ One machine per agent. Each iteration runs two phases over the pseudo-tree:
   they receive (edge costs from L members, aggregates from children) and
   forward the sum to their parent, so each edge is counted exactly once and
   the totals telescope to the root.
-* Update: the root judges the aggregated fitness vector, then the verdict
-  travels back down. Every agent applies the same verdict with the same rule
-  and draws its velocity randomness from keyed streams, so replicated
-  counters stay consistent without extra coordination.
+* Update: the root judges the aggregated fitness vector and steps the one
+  rho controller, then the verdict, which carries rho, travels back down.
+  Every agent applies the same verdict with the same rule and draws its
+  velocity randomness from keyed streams.
 
 Delivery is synchronous: an envelope sent in round r arrives in round r+1,
 and agents fire in ordinal order within a round. Runs are bit-reproducible
@@ -25,7 +25,6 @@ runtime keeps no record beyond the trace and its counters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -35,7 +34,8 @@ import numpy as np
 from .model import Problem, evaluate_edge
 from .pseudotree import PseudoTree, build_bfs_pseudotree
 from .rng import AgentStreams
-from .swarm import AgentSwarmState, BestInfo, SwarmParams, apply_best, fresh_state, root_update
+from .swarm import (AgentSwarmState, BestInfo, RootState, SwarmParams, apply_best,
+                    check_force_init, fresh_state, root_update)
 
 
 class Kind(Enum):
@@ -63,7 +63,7 @@ class Envelope:
 def envelope_scalars(env: Envelope, K: int) -> int:
     """Payload size in scalars: K per vector; UPDATE = positions + verdict."""
     if env.kind is Kind.UPDATE:
-        return 3 * K + 3  # K positions, K pbest fitness, K improved flags, 3 scalars
+        return 2 * K + 4  # K positions, K improved flags, gbest index/value/changed, rho
     return K
 
 
@@ -171,11 +171,13 @@ class AgentMachine:
         self.best_buf: dict[int, BestInfo] = {}
         self.acc: dict[int, np.ndarray] = {}
         self.acc_count: dict[int, int] = {}
-        # root-only running bests and completed verdicts
-        self.pbest_fitness = np.full(params.K, math.inf)
-        self.gbest_fitness = math.inf
-        self.gbest_index = 0
+        # root-only running bests, rho controller and completed verdicts
+        self.root_state = RootState(np.full(params.K, np.inf)) if self.is_root else None
         self.completed: list[tuple[int, BestInfo, np.ndarray]] = []
+
+    @property
+    def gbest_index(self) -> int:
+        return self.root_state.gbest_index
 
     @property
     def done(self) -> bool:
@@ -268,10 +270,7 @@ class AgentMachine:
             self.acc_count.pop(t)
         else:
             fit = np.zeros(self.params.K)  # isolated root: empty objective
-        best = root_update(fit, self.pbest_fitness, self.gbest_fitness, self.gbest_index, t)
-        self.pbest_fitness = best.pbest_fitness
-        self.gbest_fitness = best.gbest_fitness
-        self.gbest_index = best.gbest_index
+        best = root_update(self.root_state, fit, self.params, t)
         self.completed.append((t, best, fit))
         self.best_buf[t] = best  # picked up by the local update phase
         self.fitness_next = t + 1
@@ -309,16 +308,10 @@ class Simulator:
         self.iterations = iterations
         self.tree = build_bfs_pseudotree(problem)
 
-        if force_init is not None:
-            missing = [a for a in problem.ids if a not in force_init]
-            if missing:
-                raise ValueError(f"force_init is missing agents: {missing}")
+        forced = check_force_init(force_init, problem.domains, params.K)
         self.machines = [
-            AgentMachine(
-                agent_id, problem, self.tree, params, iterations,
-                np.asarray(force_init[agent_id], dtype=np.float64) if force_init else None,
-                on_event,
-            )
+            AgentMachine(agent_id, problem, self.tree, params, iterations,
+                         forced[agent_id], on_event)
             for agent_id in problem.ids
         ]
         self._by_id = {m.id: m for m in self.machines}

@@ -4,13 +4,15 @@ Each agent holds one component of every particle. The swarm of K particles
 moves under two velocity rules: the current global-best particle explores a
 radius rho around the best known point; every other particle follows the
 usual inertia + personal-best + global-best pull. rho doubles after a run of
-consecutive successes and halves after a run of consecutive failures.
+consecutive successes and halves after a run of consecutive failures. One
+`RootState` holds the fitness bests and this controller; each verdict carries
+rho to the agents, which keep only their particle components.
 
 All update functions accept scalars or equal-length numpy arrays and keep a
 fixed expression shape, so vectorized and scalar evaluation round identically
 per element. The distributed runtime and the centralized reference both call
-these functions (and `advance`) on the same keyed random draws, which makes
-their particle trajectories bit-identical.
+these functions on the same keyed random draws, which makes their particle
+trajectories bit-identical.
 """
 
 from __future__ import annotations
@@ -54,15 +56,27 @@ class BestInfo:
 
     iteration: int
     improved: np.ndarray       # bool, K: particle k improved its personal best
-    pbest_fitness: np.ndarray  # float, K: updated personal-best fitness
     gbest_index: int
     gbest_fitness: float
     gbest_changed: bool
+    rho: float                 # search radius of the global-best particle's next move
+
+
+@dataclass
+class RootState:
+    """The root's running bests and the rho controller; one per swarm."""
+
+    pbest_fitness: np.ndarray  # float, K
+    gbest_fitness: float = math.inf
+    gbest_index: int = 0
+    rho: float = 1.0
+    s_c: int = 0
+    f_c: int = 0
 
 
 @dataclass
 class AgentSwarmState:
-    """One agent's components of the K particles plus its verdict-tracking state.
+    """One agent's components of the K particles.
 
     Between updates `position` holds the values whose verdict is pending.
     """
@@ -71,12 +85,6 @@ class AgentSwarmState:
     velocity: np.ndarray
     pbest_component: np.ndarray
     gbest_component: float
-    gbest_index: int = 0
-    rho: float = 1.0
-    s_c: int = 0
-    f_c: int = 0
-    prev_gbest_index: int = 0
-    prev_gbest_fitness: float = math.inf
 
 
 def init_components(K: int, domain: ContinuousDomain, streams: AgentStreams):
@@ -88,21 +96,45 @@ def init_components(K: int, domain: ContinuousDomain, streams: AgentStreams):
 
 def fresh_state(K: int, domain: ContinuousDomain, streams: AgentStreams,
                 forced: np.ndarray | None = None) -> AgentSwarmState:
-    positions, velocities = init_components(K, domain, streams)
-    if forced is not None:
-        positions = np.asarray(forced, dtype=np.float64).copy()
-        if positions.shape != (K,):
-            raise ValueError(f"forced initial positions must have shape ({K},)")
-        if not np.isfinite(positions).all():
-            raise ValueError("forced initial positions must be finite")
-        if positions.min() < domain.lower or positions.max() > domain.upper:
-            raise ValueError("forced initial positions fall outside the domain")
+    """Initial state; `forced` positions must already pass `check_force_init`."""
+    if forced is None:
+        positions, velocities = init_components(K, domain, streams)
+    else:
+        positions, velocities = np.array(forced, dtype=np.float64), np.zeros(K)
     return AgentSwarmState(
         position=positions,
         velocity=velocities,
         pbest_component=positions.copy(),
         gbest_component=float(positions[0]),
     )
+
+
+def check_force_init(force_init: dict | None, domains: dict[str, ContinuousDomain],
+                     K: int) -> dict[str, np.ndarray | None]:
+    """Each agent's forced initial positions (None: draw them); errors name the agent."""
+    if force_init is None:
+        return dict.fromkeys(domains)
+    missing = [a for a in domains if a not in force_init]
+    if missing:
+        raise ValueError(f"force_init is missing agents: {missing}")
+    unknown = [a for a in force_init if a not in domains]
+    if unknown:
+        raise ValueError(f"force_init names unknown agents: {unknown}")
+    forced = {}
+    for agent, domain in domains.items():
+        where = f"force_init[{agent!r}]"
+        try:
+            positions = np.array(force_init[agent], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if positions.shape != (K,):
+            raise ValueError(f"{where}: forced initial positions must have shape ({K},)")
+        if not np.isfinite(positions).all():
+            raise ValueError(f"{where}: forced initial positions must be finite")
+        if positions.min() < domain.lower or positions.max() > domain.upper:
+            raise ValueError(f"{where}: forced initial positions fall outside the domain")
+        forced[agent] = positions
+    return forced
 
 
 def velocity_standard(v, x, pbest_c, gbest_c, w, c1, c2, r1, r2):
@@ -131,65 +163,50 @@ def rho_update(rho: float, s_c: int, f_c: int, max_sc: int, max_fc: int, t: int)
     return rho
 
 
-def counters_update(s_c: int, f_c: int, best: BestInfo,
-                    prev_gbest_index: int, prev_gbest_fitness: float) -> tuple[int, int]:
-    """Consecutive success/failure counts from the new verdict.
-
-    Success: the previous global-best particle improved its own personal best.
-    Failure: the global-best fitness did not change.
-    """
-    success = best.pbest_fitness[prev_gbest_index] < prev_gbest_fitness
-    s_c = s_c + 1 if success else 0
-    f_c = f_c + 1 if not best.gbest_changed else 0
-    return s_c, f_c
-
-
-def root_update(fitness: np.ndarray, pbest_fitness: np.ndarray,
-                gbest_fitness: float, gbest_index: int, t: int) -> BestInfo:
-    """Judge one iteration's fitness vector against the running bests.
+def root_update(root: RootState, fitness: np.ndarray, params: SwarmParams,
+                t: int) -> BestInfo:
+    """Judge one iteration's fitness vector against the running bests and
+    step the rho controller. Mutates `root` in place.
 
     Strict '<' everywhere; ties keep incumbents. Among simultaneous improvers
-    of the global best, the lowest particle index wins.
+    of the global best, the lowest particle index wins. Success: the previous
+    global-best particle improved its own personal best. Failure: the
+    global-best fitness did not change.
     """
-    improved = fitness < pbest_fitness
-    new_pbest = np.where(improved, fitness, pbest_fitness)
+    improved = fitness < root.pbest_fitness
+    new_pbest = np.where(improved, fitness, root.pbest_fitness)
+    success = new_pbest[root.gbest_index] < root.gbest_fitness
     low = fitness.min()
-    if low < gbest_fitness:
-        gbest_index = int(np.argmin(fitness))
-        gbest_fitness = float(low)
-        changed = True
-    else:
-        changed = False
+    changed = bool(low < root.gbest_fitness)
+    if changed:
+        root.gbest_index = int(np.argmin(fitness))
+        root.gbest_fitness = float(low)
+    root.pbest_fitness = new_pbest
+    root.s_c = root.s_c + 1 if success else 0
+    root.f_c = root.f_c + 1 if not changed else 0
+    root.rho = rho_update(root.rho, root.s_c, root.f_c, params.max_sc, params.max_fc, t)
     return BestInfo(
         iteration=t,
         improved=improved,
-        pbest_fitness=new_pbest,
-        gbest_index=gbest_index,
-        gbest_fitness=gbest_fitness,
+        gbest_index=root.gbest_index,
+        gbest_fitness=root.gbest_fitness,
         gbest_changed=changed,
+        rho=root.rho,
     )
 
 
 def apply_best(state: AgentSwarmState, best: BestInfo, params: SwarmParams,
                domain: ContinuousDomain, r1: np.ndarray, r2: np.ndarray):
-    """Apply one verdict to an agent's state: refresh bests, counters, rho,
-    then advance every particle component. Mutates `state` in place."""
+    """Apply one verdict to an agent's state: refresh bests, then advance
+    every particle component. Mutates `state` in place."""
     state.pbest_component = np.where(best.improved, state.position, state.pbest_component)
     state.gbest_component = float(state.pbest_component[best.gbest_index])
-    state.gbest_index = best.gbest_index
-    state.s_c, state.f_c = counters_update(
-        state.s_c, state.f_c, best, state.prev_gbest_index, state.prev_gbest_fitness
-    )
-    state.rho = rho_update(state.rho, state.s_c, state.f_c,
-                           params.max_sc, params.max_fc, best.iteration)
-    state.prev_gbest_index = best.gbest_index
-    state.prev_gbest_fitness = best.gbest_fitness
 
     v_new = velocity_standard(state.velocity, state.position, state.pbest_component,
                               state.gbest_component, params.w, params.c1, params.c2, r1, r2)
     g = best.gbest_index
     v_new[g] = velocity_gbest(state.velocity[g], state.position[g],
-                              state.gbest_component, params.w, state.rho, r2[g])
+                              state.gbest_component, params.w, best.rho, r2[g])
     if params.clamp_velocity:
         v_new = np.minimum(np.maximum(v_new, -domain.width), domain.width)
     state.velocity = v_new

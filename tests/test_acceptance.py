@@ -25,7 +25,7 @@ from swarmdcop import (
 )
 from swarmdcop.cli import main as cli_main
 from swarmdcop.runtime import Kind, Simulator
-from swarmdcop.swarm import counters_update, rho_update, root_update
+from swarmdcop.swarm import RootState, root_update
 
 from conftest import FIG1_FITNESS_P1, FIG1_FITNESS_P2, Recorder
 
@@ -42,8 +42,8 @@ def test_c1_golden_worked_example(fig1, fig1_force):
     fitness = rec.fitness()[0]
     assert fitness[0] == pytest.approx(FIG1_FITNESS_P1, abs=1e-9)
     assert fitness[1] == pytest.approx(FIG1_FITNESS_P2, abs=1e-9)
-    assert sim.root.pbest_fitness[0] == pytest.approx(94.25, abs=1e-9)
-    assert sim.root.pbest_fitness[1] == pytest.approx(32.99, abs=1e-9)
+    assert sim.root.root_state.pbest_fitness[0] == pytest.approx(94.25, abs=1e-9)
+    assert sim.root.root_state.pbest_fitness[1] == pytest.approx(32.99, abs=1e-9)
     assert sim.root.gbest_index == 1  # particle 2, zero-based
     assert trace.final_gbest == pytest.approx(32.99, abs=1e-9)
     elapsed = time.perf_counter() - start
@@ -146,7 +146,7 @@ def test_c6_message_accounting():
             )
             assert sent == l + h + agg, (agent, t)
     # payload scalars grow as K * messages (each envelope carries Theta(K))
-    assert K * sim.cum_envelopes <= sim.cum_scalars <= (3 * K + 3) * sim.cum_envelopes
+    assert K * sim.cum_envelopes <= sim.cum_scalars <= (2 * K + 4) * sim.cum_envelopes
     sim2 = Simulator(problem, SwarmParams(K=2 * K, seed=1), iterations)
     sim2.run_to_quiescence()
     assert sim2.cum_envelopes == sim.cum_envelopes  # message count independent of K
@@ -158,23 +158,16 @@ def test_c6_message_accounting():
 def test_c7_rho_controller_scripted_sequence():
     max_sc, max_fc = 15, 5
     K = 2
-    pbest = np.array([math.inf, math.inf])
-    g_fit, g_idx = math.inf, 0
-    s_c = f_c = 0
-    rho = 1.0
-    prev_idx, prev_fit = 0, math.inf
-    rho_seen = [rho]
+    params = SwarmParams(K=K, max_sc=max_sc, max_fc=max_fc)
+    root = RootState(np.array([math.inf, math.inf]))
+    rho_seen = [root.rho]
 
     def step(fitness, t):
-        nonlocal pbest, g_fit, g_idx, s_c, f_c, rho, prev_idx, prev_fit
-        best = root_update(np.asarray(fitness, dtype=float), pbest, g_fit, g_idx, t)
-        pbest, g_fit, g_idx = best.pbest_fitness, best.gbest_fitness, best.gbest_index
-        s_c, f_c = counters_update(s_c, f_c, best, prev_idx, prev_fit)
-        rho = rho_update(rho, s_c, f_c, max_sc, max_fc, t)
-        prev_idx, prev_fit = g_idx, g_fit
-        assert not (s_c > 0 and f_c > 0), "success/failure counters both positive"
-        if rho != rho_seen[-1]:
-            rho_seen.append(rho)
+        best = root_update(root, np.asarray(fitness, dtype=float), params, t)
+        assert best.rho == root.rho
+        assert not (root.s_c > 0 and root.f_c > 0), "success/failure counters both positive"
+        if root.rho != rho_seen[-1]:
+            rho_seen.append(root.rho)
 
     t = 0
     value = 100.0
@@ -183,15 +176,15 @@ def test_c7_rho_controller_scripted_sequence():
         value -= 1.0
         step([value, 200.0], t)
         t += 1
-    assert s_c == max_sc + 1 and rho == 2.0
+    assert root.s_c == max_sc + 1 and root.rho == 2.0
 
     # failures: first halving after max_fc + 1 of them, another one right after
     for _ in range(max_fc + 1):
         step([value + 50.0, 200.0], t)
         t += 1
-    assert f_c == max_fc + 1 and rho == 1.0
+    assert root.f_c == max_fc + 1 and root.rho == 1.0
     step([value + 50.0, 200.0], t)
-    assert rho == 0.5
+    assert root.rho == 0.5
     assert rho_seen == [1.0, 2.0, 1.0, 0.5]
     print("\n[criterion 7] PASS - rho walked 1 -> 2 -> 1 -> 0.5 exactly per the controller cases")
 

@@ -149,6 +149,28 @@ def test_solve_verbose_event_log(fig1_files, tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("bad, message", [
+    ([0.0], "must have shape (2,)"),
+    ([float("nan"), 0.0], "must be finite"),
+    (5, "must have shape (2,)"),
+    (["left", 0.0], "could not convert string to float"),
+])
+def test_solve_rejects_malformed_force_init_naming_the_agent(fig1_files, tmp_path, capsys,
+                                                             bad, message):
+    problem_path, _ = fig1_files
+    force = {a: list(v) for a, v in FIG1_FORCE.items()}
+    force["x2"] = bad
+    force_path = tmp_path / "bad_force.json"
+    force_path.write_text(json.dumps(force), encoding="utf-8")
+    for oracle in ([], ["--oracle", "centralized"]):
+        assert main(["solve", str(problem_path), "--particles", "2", "--iters", "1",
+                     "--force-init", str(force_path), "--trace", str(tmp_path / "t.csv")]
+                    + oracle) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: force_init['x2']: ")
+        assert message in err
+
+
 def test_bench_records_partial_failures(tmp_path, capsys):
     # scale-free with m >= n is infeasible: every instance fails, the batch
     # still completes and records nan rows, and the exit code reports it

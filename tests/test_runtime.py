@@ -31,7 +31,7 @@ def test_worked_example_first_iteration(fig1, fig1_force):
     assert fitness[1] == pytest.approx(FIG1_FITNESS_P2, abs=1e-9)
     assert sim.root.gbest_index == 1
     assert trace.rows[0].gbest_fitness == pytest.approx(FIG1_FITNESS_P2, abs=1e-9)
-    assert sim.root.pbest_fitness.tolist() == pytest.approx([94.25, 32.99], abs=1e-9)
+    assert sim.root.root_state.pbest_fitness.tolist() == pytest.approx([94.25, 32.99], abs=1e-9)
 
 
 def test_worked_example_edge_messages(fig1, fig1_force):
@@ -179,20 +179,6 @@ def test_best_info_propagation_bound():
         assert m.round <= emitted[m.iteration - 1] + tree.depth[m.agent]
 
 
-def test_agents_replicate_counters_consistently():
-    problem = generate(GenSpec(topology="erdos_renyi", n=8, seed=51, p=0.3))
-    sim = Simulator(problem, SwarmParams(K=10, seed=2), 25)
-    sim.run_to_quiescence()
-    root = sim.root.state
-    for machine in sim.machines:
-        state = machine.state
-        assert state.rho == root.rho
-        assert state.s_c == root.s_c
-        assert state.f_c == root.f_c
-        assert state.prev_gbest_index == root.prev_gbest_index
-        assert state.prev_gbest_fitness == root.prev_gbest_fitness
-
-
 def test_quiescence_leaves_no_pending_state():
     problem = generate(GenSpec(topology="random_tree", n=6, seed=18))
     sim = Simulator(problem, SwarmParams(K=4, seed=7), 8)
@@ -215,6 +201,8 @@ def test_force_init_validation(fig1):
     params = SwarmParams(K=2, seed=0)
     with pytest.raises(ValueError, match="missing agents"):
         Simulator(fig1, params, 1, force_init={"x1": [0.0, 0.0]})
+    with pytest.raises(ValueError, match=r"unknown agents: \['x9'\]"):
+        Simulator(fig1, params, 1, force_init={a: [0.0, 0.0] for a in fig1.ids + ["x9"]})
     bad = {a: [0.0, 0.0] for a in fig1.ids}
     bad["x2"] = [0.0, 99.0]  # outside [-10, 10]
     with pytest.raises(ValueError, match="outside the domain"):
@@ -268,7 +256,10 @@ def test_event_log_streams_rounds_and_verdicts(fig1, fig1_force):
 def test_rho_reacts_over_a_long_run():
     # sanity: the controller actually moves rho away from 1.0 on a real run
     problem = generate(GenSpec(topology="erdos_renyi", n=6, seed=77, p=0.5))
-    sim = Simulator(problem, SwarmParams(K=8, seed=3, max_sc=2, max_fc=2), 60)
+    rec = Recorder()
+    sim = Simulator(problem, SwarmParams(K=8, seed=3, max_sc=2, max_fc=2), 60, on_event=rec)
     sim.run_to_quiescence()
-    assert sim.root.state.rho != 1.0
-    assert math.frexp(sim.root.state.rho)[0] == 0.5
+    rho = rec.judged[-1].best.rho
+    assert rho == sim.root.root_state.rho
+    assert rho != 1.0
+    assert math.frexp(rho)[0] == 0.5

@@ -9,8 +9,8 @@ from swarmdcop import ContinuousDomain, SwarmParams
 from swarmdcop.rng import AgentStreams
 from swarmdcop.swarm import (
     BestInfo,
+    RootState,
     apply_best,
-    counters_update,
     fresh_state,
     init_components,
     position_update,
@@ -80,31 +80,39 @@ def test_rho_update_cases():
     assert rho_update(1.0, 3, 0, 15, 5, 3) == 1.0     # otherwise unchanged
 
 
-def _verdict(pbest, g_idx, g_fit, changed, improved=None, t=1):
-    pbest = np.asarray(pbest, dtype=float)
-    improved = np.asarray(
-        improved if improved is not None else [False] * len(pbest), dtype=bool
-    )
-    return BestInfo(t, improved, pbest, g_idx, g_fit, changed)
+PARAMS = SwarmParams(K=2)
+
+
+def _verdict(g_idx, g_fit, changed, improved, t=1):
+    return BestInfo(t, np.asarray(improved, dtype=bool), g_idx, g_fit, changed, rho=1.0)
+
+
+def _root(pbest, g_idx, g_fit, s_c=0, f_c=0):
+    """A root whose previous verdict made particle `g_idx` the global best."""
+    return RootState(np.asarray(pbest, dtype=float), g_fit, g_idx, s_c=s_c, f_c=f_c)
 
 
 def test_counters_previous_gbest_improves():
-    best = _verdict([5.0, 1.0], g_idx=1, g_fit=1.0, changed=True, improved=[False, True])
-    s_c, f_c = counters_update(2, 0, best, prev_gbest_index=1, prev_gbest_fitness=3.0)
-    assert (s_c, f_c) == (3, 0)
+    root = _root([5.0, 3.0], g_idx=1, g_fit=3.0, s_c=2, f_c=0)
+    best = root_update(root, np.array([9.0, 1.0]), PARAMS, t=1)
+    assert (best.gbest_index, best.gbest_fitness, best.gbest_changed) == (1, 1.0, True)
+    assert (root.s_c, root.f_c) == (3, 0)
 
 
 def test_counters_nobody_improves():
-    best = _verdict([5.0, 3.0], g_idx=1, g_fit=3.0, changed=False)
-    s_c, f_c = counters_update(2, 1, best, prev_gbest_index=1, prev_gbest_fitness=3.0)
-    assert (s_c, f_c) == (0, 2)
+    root = _root([5.0, 3.0], g_idx=1, g_fit=3.0, s_c=2, f_c=1)
+    best = root_update(root, np.array([6.0, 4.0]), PARAMS, t=1)
+    assert not best.gbest_changed
+    assert (root.s_c, root.f_c) == (0, 2)
 
 
 def test_counters_other_particle_overtakes():
     # particle 0 overtakes while the old global-best particle 1 stagnates
-    best = _verdict([2.0, 3.0], g_idx=0, g_fit=2.0, changed=True, improved=[True, False])
-    s_c, f_c = counters_update(4, 0, best, prev_gbest_index=1, prev_gbest_fitness=3.0)
-    assert (s_c, f_c) == (0, 0)
+    root = _root([5.0, 3.0], g_idx=1, g_fit=3.0, s_c=4, f_c=0)
+    best = root_update(root, np.array([2.0, 4.0]), PARAMS, t=1)
+    assert (best.gbest_index, best.gbest_fitness, best.gbest_changed) == (0, 2.0, True)
+    assert best.improved.tolist() == [True, False]
+    assert (root.s_c, root.f_c) == (0, 0)
 
 
 @given(
@@ -113,25 +121,19 @@ def test_counters_other_particle_overtakes():
     )
 )
 def test_counters_mutual_exclusion_and_rho_dyadic(fitness_pairs):
-    pbest = np.array([math.inf, math.inf])
-    g_fit, g_idx = math.inf, 0
-    s_c = f_c = 0
-    rho = 1.0
-    prev_idx, prev_fit = 0, math.inf
+    root = RootState(np.array([math.inf, math.inf]))
+    params = SwarmParams(K=2, max_sc=3, max_fc=2)
     for t, pair in enumerate(fitness_pairs):
-        best = root_update(np.array(pair), pbest, g_fit, g_idx, t)
-        pbest, g_fit, g_idx = best.pbest_fitness, best.gbest_fitness, best.gbest_index
-        s_c, f_c = counters_update(s_c, f_c, best, prev_idx, prev_fit)
-        rho = rho_update(rho, s_c, f_c, 3, 2, t)
-        prev_idx, prev_fit = g_idx, g_fit
-        assert not (s_c > 0 and f_c > 0)
-        assert math.frexp(rho)[0] == 0.5  # rho stays an exact power of two
+        best = root_update(root, np.array(pair), params, t)
+        assert not (root.s_c > 0 and root.f_c > 0)
+        assert best.rho == root.rho
+        assert math.frexp(root.rho)[0] == 0.5  # rho stays an exact power of two
 
 
 def test_root_update_worked_example():
-    fresh = np.array([math.inf, math.inf])
-    best = root_update(np.array([94.25, 32.99]), fresh, math.inf, 0, t=0)
-    assert best.pbest_fitness.tolist() == [94.25, 32.99]
+    root = RootState(np.array([math.inf, math.inf]))
+    best = root_update(root, np.array([94.25, 32.99]), PARAMS, t=0)
+    assert root.pbest_fitness.tolist() == [94.25, 32.99]
     assert best.gbest_index == 1
     assert best.gbest_fitness == 32.99
     assert best.gbest_changed
@@ -139,8 +141,8 @@ def test_root_update_worked_example():
 
 
 def test_root_update_ties_keep_incumbents():
-    pbest = np.array([4.0, 7.0])
-    best = root_update(np.array([4.0, 7.0]), pbest, 4.0, 0, t=3)
+    root = _root([4.0, 7.0], g_idx=0, g_fit=4.0)
+    best = root_update(root, np.array([4.0, 7.0]), PARAMS, t=3)
     assert not best.improved.any()
     assert not best.gbest_changed
     assert best.gbest_index == 0
@@ -148,45 +150,47 @@ def test_root_update_ties_keep_incumbents():
 
 
 def test_root_update_simultaneous_improvers_lowest_index_wins():
-    pbest = np.array([math.inf] * 3)
-    best = root_update(np.array([5.0, 2.0, 2.0]), pbest, math.inf, 0, t=0)
+    root = RootState(np.array([math.inf] * 3))
+    best = root_update(root, np.array([5.0, 2.0, 2.0]), PARAMS, t=0)
     assert best.gbest_index == 1
 
 
 def test_root_update_single_particle():
-    best = root_update(np.array([3.0]), np.array([math.inf]), math.inf, 0, t=0)
+    root = RootState(np.array([math.inf]))
+    best = root_update(root, np.array([3.0]), PARAMS, t=0)
     assert best.gbest_index == 0
     assert best.gbest_fitness == 3.0
-    again = root_update(np.array([9.0]), best.pbest_fitness, best.gbest_fitness, 0, t=1)
+    again = root_update(root, np.array([9.0]), PARAMS, t=1)
     assert again.gbest_fitness == 3.0  # gbest tracks the single pbest
 
 
 @given(st.lists(st.lists(st.floats(-50, 50), min_size=3, max_size=3), min_size=1, max_size=30))
 def test_best_fitness_sequences_never_increase(rounds):
-    pbest = np.array([math.inf] * 3)
-    g_fit, g_idx = math.inf, 0
+    root = RootState(np.array([math.inf] * 3))
     for t, fitness in enumerate(rounds):
-        best = root_update(np.array(fitness), pbest, g_fit, g_idx, t)
-        assert (best.pbest_fitness <= pbest).all()
+        pbest, g_fit = root.pbest_fitness, root.gbest_fitness
+        best = root_update(root, np.array(fitness), PARAMS, t)
+        assert (root.pbest_fitness <= pbest).all()
         assert best.gbest_fitness <= g_fit
-        assert best.gbest_fitness == best.pbest_fitness.min()
+        assert best.gbest_fitness == root.pbest_fitness.min()
         if best.gbest_changed:
             assert best.improved[best.gbest_index]
-        pbest, g_fit, g_idx = best.pbest_fitness, best.gbest_fitness, best.gbest_index
 
 
 def test_apply_best_refreshes_components_from_judged_positions():
     domain = ContinuousDomain(-10.0, 10.0)
     params = SwarmParams(K=3, w=0.0, c1=0.0, c2=0.0, seed=1)
     state = fresh_state(3, domain, AgentStreams(1, 0), forced=np.array([1.0, -2.0, 5.0]))
-    best = _verdict([10.0, 3.0, 8.0], g_idx=1, g_fit=3.0, changed=True,
-                    improved=[False, True, True], t=0)
+    root = RootState(np.array([5.0, math.inf, math.inf]))
+    best = root_update(root, np.array([10.0, 3.0, 8.0]), params, t=0)
+    assert best.improved.tolist() == [False, True, True]
+    assert (best.gbest_index, best.gbest_fitness, best.gbest_changed) == (1, 3.0, True)
+    assert best.rho == root.rho == 1.0  # t=0 case
+    assert (root.s_c, root.f_c) == (1, 0)
     before = state.position.copy()
     apply_best(state, best, params, domain, np.full(3, 0.5), np.full(3, 0.5))
     assert state.pbest_component.tolist() == [1.0, -2.0, 5.0]  # improved slots refreshed
     assert state.gbest_component == before[1]
-    assert state.rho == 1.0  # t=0 case
-    assert (state.s_c, state.f_c) == (1, 0)
     # the non-gbest particles froze (w=c1=c2=0); the gbest one landed on gbest_c
     assert state.position[0] == before[0]
     assert state.position[2] == before[2]
@@ -197,8 +201,7 @@ def test_velocity_clamp_limits_speed():
     domain = ContinuousDomain(-1.0, 1.0)
     params = SwarmParams(K=2, w=1.0, c1=10.0, c2=10.0, clamp_velocity=True, seed=2)
     state = fresh_state(2, domain, AgentStreams(2, 0), forced=np.array([-1.0, 1.0]))
-    best = _verdict([1.0, 2.0], g_idx=0, g_fit=1.0, changed=True,
-                    improved=[True, True], t=0)
+    best = _verdict(g_idx=0, g_fit=1.0, changed=True, improved=[True, True], t=0)
     apply_best(state, best, params, domain, np.ones(2), np.ones(2))
     assert (np.abs(state.velocity) <= domain.width).all()
 
