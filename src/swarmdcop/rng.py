@@ -16,6 +16,8 @@ mixed word, giving values in [0, 1).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -55,27 +57,51 @@ def derive_seed(seed: int, index: int) -> int:
     return stream_key(seed, index)
 
 
-_U53 = np.uint64(11)
+_S30, _S27, _S31, _U53 = (np.uint64(s) for s in (30, 27, 31, 11))
+_M1, _M2 = np.uint64(_MIX1), np.uint64(_MIX2)
 
 
-def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """mix64 of every word of a uint64 array, written back into it."""
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    return z
 
 
-def keyed_uniforms(seed: int, ordinal: int, iteration: int, draw: int, n: int) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _counter_steps(n: int) -> np.ndarray:
+    """GOLDEN*(k+1) mod 2**64 for k = 0..n-1, read-only: one per K in use."""
+    steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+    steps.setflags(write=False)
+    return steps
+
+
+def keyed_uniforms(seed: int, ordinal: int | np.ndarray, iteration: int, draw: int,
+                   n: int) -> np.ndarray:
     """Return n doubles in [0, 1) for a (seed, agent, iteration, draw) stream.
 
     Output k is mix64(h + GOLDEN*(k+1)) scaled to [0, 1), where
     h = stream_key(seed, ordinal, iteration, draw). Stateless: the same key
     tuple always yields the same vector, regardless of evaluation order.
+
+    `ordinal` may also be a 1-D numpy array of ordinals: the result then has
+    one row of n doubles per ordinal, each bit-identical to the scalar call,
+    hashed and mixed as one key grid.
     """
-    h = stream_key(seed, ordinal, iteration, draw)
-    ks = np.arange(1, n + 1, dtype=np.uint64)
-    z = np.uint64(h) + np.uint64(GOLDEN) * ks
-    bits = _mix64_vec(z)
-    return (bits >> _U53).astype(np.float64) * 2.0**-53
+    if not isinstance(ordinal, np.ndarray):
+        z = _counter_steps(n) + np.uint64(stream_key(seed, ordinal, iteration, draw))
+    else:
+        # absorb(h, w) = mix64(h + (GOLDEN + w)), applied to every ordinal's h at once
+        h = ordinal.astype(np.uint64) + np.uint64((seed + GOLDEN) & MASK64)
+        for word in (iteration, draw):
+            h = _mix64_inplace(h) + np.uint64((GOLDEN + word) & MASK64)
+        z = _mix64_inplace(h)[:, None] + _counter_steps(n)
+    bits = _mix64_inplace(z)
+    bits >>= _U53
+    return np.multiply(bits, 2.0**-53)
 
 
 class AgentStreams:

@@ -185,7 +185,8 @@ class AgentMachine:
 
     def _absorb(self, env: Envelope):
         if env.kind in (Kind.VALUE, Kind.UPDATE):
-            self.values_buf[(env.iteration, env.sender)] = env.values
+            if env.iteration < self.max_iterations:  # the final positions are never evaluated
+                self.values_buf[(env.iteration, env.sender)] = env.values
             if env.best is not None and env.best.iteration >= self.own_iter:
                 self.best_buf[env.best.iteration] = env.best
         elif env.kind in (Kind.EDGE_FITNESS, Kind.AGG_FITNESS):
@@ -346,6 +347,13 @@ class Simulator:
             if self.on_event is not None:
                 self.on_event(Judged(round_no, best, fit))
         self.root.completed.clear()
+
+    def best_assignment(self) -> dict[str, float]:
+        """The global-best particle's assignment: each agent's personal-best
+        component at the root's gbest index. Its `global_cost` is the
+        latest trace row's gbest_fitness, up to summation order."""
+        g = self.root.gbest_index
+        return {m.id: float(m.state.pbest_component[g]) for m in self.machines}
 
     @property
     def quiescent(self) -> bool:

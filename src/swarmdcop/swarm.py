@@ -84,7 +84,7 @@ class AgentSwarmState:
     position: np.ndarray
     velocity: np.ndarray
     pbest_component: np.ndarray
-    gbest_component: float
+    gbest_component: float  # (rows,) for a block of agents
 
 
 def init_components(K: int, domain: ContinuousDomain, streams: AgentStreams):
@@ -198,9 +198,15 @@ def root_update(root: RootState, fitness: np.ndarray, params: SwarmParams,
 def apply_best(state: AgentSwarmState, best: BestInfo, params: SwarmParams,
                domain: ContinuousDomain, r1: np.ndarray, r2: np.ndarray):
     """Apply one verdict to an agent's state: refresh bests, then advance
-    every particle component. Mutates `state` in place."""
+    every particle component. Mutates `state` in place.
+
+    The same call steps a particle-major block of agents: `state` arrays,
+    r1 and r2 of shape (K, rows), `best.improved` as a (K, 1) column and
+    domain bounds of shape (rows,). Each element rounds as in the per-agent
+    call, so a block step is bit-identical to stepping its agents one by one.
+    """
     state.pbest_component = np.where(best.improved, state.position, state.pbest_component)
-    state.gbest_component = float(state.pbest_component[best.gbest_index])
+    state.gbest_component = state.pbest_component[best.gbest_index]
 
     v_new = velocity_standard(state.velocity, state.position, state.pbest_component,
                               state.gbest_component, params.w, params.c1, params.c2, r1, r2)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from swarmdcop import (
+    AnytimeTrace,
     Constraint,
     ContinuousDomain,
     GenSpec,
@@ -16,8 +17,12 @@ from swarmdcop import (
     generate,
     global_cost,
     grid_search,
+    oracle,
     run,
 )
+from swarmdcop.rng import AgentStreams
+from swarmdcop.runtime import TraceRow
+from swarmdcop.swarm import RootState, apply_best, check_force_init, fresh_state, root_update
 
 from conftest import FIG1_FITNESS_P2
 
@@ -59,6 +64,49 @@ def test_centralized_fitness_is_bitwise_global_cost(fig1, fig1_force):
     for k in range(K):
         assignment = {a: float(v[k]) for a, v in pos.items()}
         assert fitness[k] == global_cost(fig1, assignment)
+
+
+def _per_agent_gcpso(problem, params, iterations, force_init=None):
+    """The centralized swarm one agent and one edge at a time: the reference
+    the dense, blocked `centralized_gcpso` must equal bit for bit."""
+    forced = check_force_init(force_init, problem.domains, params.K)
+    streams = {a: AgentStreams(params.seed, problem.ordinals[a]) for a in problem.ids}
+    states = {a: fresh_state(params.K, problem.domains[a], streams[a], forced[a])
+              for a in problem.ids}
+    root, trace = RootState(np.full(params.K, np.inf)), AnytimeTrace()
+    for t in range(iterations):
+        cost = global_cost(problem, {a: state.position for a, state in states.items()})
+        best = root_update(root, np.broadcast_to(cost, (params.K,)), params, t)
+        for a in problem.ids:
+            r1, r2 = streams[a].update_uniforms(t, params.K)
+            apply_best(states[a], best, params, problem.domains[a], r1, r2)
+        trace.rows.append(TraceRow(t + 1, 0, root.gbest_fitness, 0, 0))
+    return trace
+
+
+def _mixed_domains(problem):
+    domains = {a: ContinuousDomain(-k - 1.0, 2.0 * k + 0.5) for k, a in enumerate(problem.ids)}
+    return Problem(domains=domains, constraints=problem.constraints)
+
+
+@pytest.mark.parametrize("case", ["fig1-force-init", "one-agent", "mixed-clamped", "many-blocks"])
+def test_centralized_equals_per_agent_reference(case, fig1, fig1_force, monkeypatch):
+    force_init = None
+    if case == "fig1-force-init":
+        problem, params, force_init = fig1, SwarmParams(K=2, seed=0), fig1_force
+    elif case == "one-agent":
+        problem = Problem(domains={"x1": ContinuousDomain(-1, 1)}, constraints=[])
+        params = SwarmParams(K=3, seed=4)
+    elif case == "mixed-clamped":
+        problem = _mixed_domains(generate(GenSpec("erdos_renyi", 9, 3, p=0.4)))
+        params = SwarmParams(K=17, clamp_velocity=True, seed=9)
+    else:  # blocks of 3 rows: 10 agents in 4 blocks (the last holds one), 18 edges in 6
+        monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", 3 * 8 + 7)
+        problem = _mixed_domains(generate(GenSpec("erdos_renyi", 10, 5, p=0.4)))
+        params = SwarmParams(K=8, seed=(1 << 64) - 1)
+        assert (problem.n_agents, len(problem.constraints)) == (10, 18)
+    got = centralized_gcpso(problem, params, 60, force_init=force_init).to_csv()
+    assert got == _per_agent_gcpso(problem, params, 60, force_init).to_csv()
 
 
 def test_single_particle_no_constraints_is_constant():

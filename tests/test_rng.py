@@ -64,6 +64,20 @@ def test_keyed_uniforms_deterministic_and_in_range(seed, ordinal, iteration, dra
     assert (a >= 0.0).all() and (a < 1.0).all()
 
 
+@given(
+    seed=st.integers(0, MASK64),
+    ordinals=st.lists(st.integers(0, 100_000), min_size=1, max_size=6),
+    iteration=st.integers(0, 10_000),
+    draw=st.integers(0, 2),
+    n=st.integers(1, 40),
+)
+def test_key_grid_rows_equal_scalar_calls(seed, ordinals, iteration, draw, n):
+    grid = keyed_uniforms(seed, np.array(ordinals), iteration, draw, n)
+    stacked = np.stack([keyed_uniforms(seed, o, iteration, draw, n) for o in ordinals])
+    assert grid.shape == (len(ordinals), n)
+    assert grid.tobytes() == stacked.tobytes()
+
+
 def test_streams_distinct_across_keys():
     base = keyed_uniforms(7, 0, 0, 0, 32)
     assert not np.array_equal(base, keyed_uniforms(7, 1, 0, 0, 32))

@@ -180,14 +180,28 @@ def test_best_info_propagation_bound():
 
 
 def test_quiescence_leaves_no_pending_state():
-    problem = generate(GenSpec(topology="random_tree", n=6, seed=18))
-    sim = Simulator(problem, SwarmParams(K=4, seed=7), 8)
+    # the ER graph has cross edges, whose final UPDATE positions no one evaluates
+    for spec in (GenSpec(topology="random_tree", n=6, seed=18),
+                 GenSpec(topology="erdos_renyi", n=20, seed=0, p=0.2)):
+        sim = Simulator(generate(spec), SwarmParams(K=4, seed=7), 8)
+        sim.run_to_quiescence()
+        assert sim.quiescent
+        for machine in sim.machines:
+            assert machine.done
+            assert not machine.values_buf
+            assert not machine.best_buf
+            assert not machine.acc and not machine.acc_count
+
+
+def test_best_assignment_costs_the_final_gbest(fig1, fig1_force):
+    sim = _forced_sim(fig1, fig1_force)
     sim.run_to_quiescence()
-    assert sim.quiescent
-    for machine in sim.machines:
-        assert machine.done
-        assert not machine.best_buf
-        assert not machine.acc and not machine.acc_count
+    assert sim.best_assignment() == {"x1": 3.5, "x2": 4.9, "x3": 1.0, "x4": 0.0}  # P2
+    for seed in range(3):
+        problem = generate(GenSpec(topology="erdos_renyi", n=10, seed=seed, p=0.3))
+        sim = Simulator(problem, SwarmParams(K=16, seed=seed), 40)
+        final = sim.run_to_quiescence().final_gbest
+        assert global_cost(problem, sim.best_assignment()) == pytest.approx(final, rel=1e-9)
 
 
 def test_deadlock_detection_names_blocked_agents(fig1, fig1_force):

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from swarmdcop import ContinuousDomain, SwarmParams
 from swarmdcop.rng import AgentStreams
 from swarmdcop.swarm import (
+    AgentSwarmState,
     BestInfo,
     RootState,
     apply_best,
@@ -195,6 +198,32 @@ def test_apply_best_refreshes_components_from_judged_positions():
     assert state.position[0] == before[0]
     assert state.position[2] == before[2]
     assert state.position[1] == pytest.approx(state.gbest_component, abs=1.0)  # within rho
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_apply_best_on_a_block_equals_per_agent_calls(clamp):
+    K, domains = 7, [ContinuousDomain(-10.0, 10.0), ContinuousDomain(0.5, 2.0),
+                     ContinuousDomain(-1e3, -999.0)]
+    params = SwarmParams(K=K, w=1.0, c1=4.0, c2=4.0, clamp_velocity=clamp, seed=3)  # clamps hit
+    states = [fresh_state(K, d, AgentStreams(3, k)) for k, d in enumerate(domains)]
+    for t in range(4):
+        streams = AgentStreams(3, 10 + t)
+        best = _verdict(g_idx=t % K, g_fit=1.0, changed=True, t=t,
+                        improved=streams.initial_uniforms(K) < 0.5)
+        best.rho = 2.0**-t
+        r = [AgentStreams(3, k).update_uniforms(t, K) for k in range(len(domains))]
+        block = AgentSwarmState(*(np.stack([getattr(s, f) for s in states], axis=1)
+                                  for f in ("position", "velocity", "pbest_component")), None)
+        bounds = SimpleNamespace(**{f: np.array([getattr(d, f) for d in domains])
+                                    for f in ("lower", "upper", "width")})
+        column = replace(best, improved=best.improved[:, None])
+        apply_best(block, column, params, bounds,
+                   np.stack([r1 for r1, _ in r], axis=1), np.stack([r2 for _, r2 in r], axis=1))
+        for k, (state, domain) in enumerate(zip(states, domains)):
+            apply_best(state, best, params, domain, *r[k])
+            for f in ("position", "velocity", "pbest_component"):
+                assert getattr(block, f)[:, k].tobytes() == getattr(state, f).tobytes()
+            assert block.gbest_component[k] == state.gbest_component
 
 
 def test_velocity_clamp_limits_speed():
