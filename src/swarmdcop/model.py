@@ -3,8 +3,9 @@
 An instance is a connected constraint graph. Each agent owns one continuous
 variable; each edge carries a quadratic cost a*xi^2 + b*xi*xj + c*xj^2 bound
 positionally to the constraint's ordered scope. The global objective is the
-sum of edge costs, accumulated in constraint-list order (normative, so traces
-are bit-stable).
+sum of edge costs; `global_cost` accumulates it in constraint-list order.
+The solvers sum fitness in the pseudo-tree's order instead (see
+`pseudotree`), so their traces do not depend on the constraint order.
 """
 
 from __future__ import annotations

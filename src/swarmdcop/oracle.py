@@ -6,29 +6,25 @@ time. All positions sit in one agent-major (n, K) array. A block of agents
 draws its uniforms from one key grid (`keyed_uniforms` over an array of
 ordinals) and moves with one `apply_best` call on particle-major (K, rows)
 arrays; a block of edges costs one `evaluate_edge` call on operands gathered
-from the positions. Every operation is the per-agent one, elementwise in the
-same order, so the results equal a per-agent loop bit for bit.
-
-The oracle and the runtime differ only in the association order of the
-fitness sums (constraint-list order here, tree order in the runtime), so
-their particle trajectories are bit-identical until a strict '<' in
-`root_update` meets two fitness values that differ only by that rounding;
-from then on the swarms may part. Criterion c3 checks agreement within 1e-9
-relative over 100 iterations. Longer runs can leave it: ER n=20 (generator
-seed 1, p=0.2), K=200, solver seed (107 << 16) | 1 leaves 1e-9 at iteration
-401 of 500. `grid_search` exhaustively enumerates a rectangular grid and is
-the ground-truth oracle for tiny instances.
+from the positions. Every fitness sum is the pseudo-tree's fold
+(`PseudoTree.fitness_senders`), the one summation order the runtime uses
+too. Every operation is the per-agent one, elementwise in the same order,
+so the gbest trace equals the distributed runtime's bit for bit, over whole
+runs. `grid_search` exhaustively enumerates a rectangular grid and is the
+ground-truth oracle for tiny instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
 from types import SimpleNamespace
 
 import numpy as np
 
 from .model import Problem, evaluate_edge, global_cost
-from .rng import DRAW_R1, DRAW_R2, AgentStreams, keyed_uniforms
+from .pseudotree import build_bfs_pseudotree
+from .rng import DRAW_R1, DRAW_R2, keyed_uniforms
 from .runtime import AnytimeTrace, TraceRow
 from .swarm import (AgentSwarmState, RootState, SwarmParams, apply_best, check_force_init,
                     fresh_state, root_update)
@@ -42,22 +38,77 @@ from .swarm import (AgentSwarmState, RootState, SwarmParams, apply_best, check_f
 BLOCK_ELEMENTS = 4096
 
 
+def _fold_plan(problem: Problem, rows: int):
+    """The pseudo-tree's fold of every fitness sum as array steps on one
+    (A, K) array `sums`, one row per aggregating agent (nonempty L).
+
+    The rows go level by level, deepest first, and within a level the agents
+    with the most aggregating children first, so the root's sum is the last
+    row and the parents of each level's child slot j are a run of rows.
+
+    L phase: the constraints are listed slot by slot, row by row, and cut
+    into blocks of `rows` edges: (coefficient columns, i-end ordinals, j-end
+    ordinals, folds). Each fold (block rows, sum rows, first) sets (L slot 0)
+    or adds a run of edge costs into a run of rows.
+
+    Child phase: each (parent rows, child rows) step adds the finished sums
+    of one level's children in child slot j, deepest level first.
+    """
+    tree = build_bfs_pseudotree(problem)
+    children = {a: tree.fitness_senders[a][len(tree.L[a]):] for a in problem.ids if tree.L[a]}
+    order = sorted(children, key=lambda a: (-tree.depth[a], -len(children[a]), -len(tree.L[a])))
+    row = {a: r for r, a in enumerate(order)}
+
+    edges = []  # (sum row, constraint, first slot) in fold order
+    for j in range(max((len(tree.L[a]) for a in order), default=0)):
+        edges.extend((row[a], problem.constraint_between(a, tree.L[a][j]), j == 0)
+                     for a in order if len(tree.L[a]) > j)
+    edge_blocks = []
+    for lo in range(0, len(edges), rows):
+        block = edges[lo:lo + rows]
+        # one QuadraticCost per row, as (E_b, 1) coefficient columns
+        cost = SimpleNamespace(a=np.array([[con.cost.a] for _, con, _ in block]),
+                               b=np.array([[con.cost.b] for _, con, _ in block]),
+                               c=np.array([[con.cost.c] for _, con, _ in block]))
+        # runs of edges into consecutive rows, all in L slot 0 or none
+        starts = [e for e in range(len(block)) if e == 0 or block[e][0] != block[e - 1][0] + 1
+                  or block[e][2] != block[e - 1][2]]
+        folds = [(slice(s, e), slice(block[s][0], block[s][0] + e - s), block[s][2])
+                 for s, e in zip(starts, starts[1:] + [len(block)])]
+        edge_blocks.append((cost, np.array([problem.ordinals[con.i] for _, con, _ in block]),
+                            np.array([problem.ordinals[con.j] for _, con, _ in block]), folds))
+
+    child_folds = []
+    lo = 0
+    for _, level in groupby(order, key=tree.depth.get):
+        level = list(level)
+        for j in range(len(children[level[0]])):
+            parents = [a for a in level if len(children[a]) > j]
+            child_folds.append((slice(lo, lo + len(parents)),
+                                np.array([row[children[a][j]] for a in parents])))
+        lo += len(level)
+    return len(order), edge_blocks, child_folds
+
+
 def centralized_gcpso(problem: Problem, params: SwarmParams, iterations: int,
                       force_init: dict[str, list[float]] | None = None) -> AnytimeTrace:
     """Reference swarm over complete assignments; per-iteration gbest trace.
 
-    Each particle's fitness is the sum of its edge costs in constraint-list
-    order, from 0.0, exactly as `global_cost` sums them.
+    Each particle's fitness is folded over the pseudo-tree exactly as the
+    runtime's agents fold it (see `_fold_plan`): the edge costs are
+    evaluated a block at a time and added slot by slot, then each level's
+    child aggregates are added, deepest level first.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     forced = check_force_init(force_init, problem.domains, params.K)
     K = params.K
     rows = max(1, BLOCK_ELEMENTS // K)
+    # planned first: the tree it builds is freed before the swarm's arrays exist
+    aggregators, edge_blocks, child_folds = _fold_plan(problem, rows)
     position = np.empty((problem.n_agents, K))
     for k, a in enumerate(problem.ids):
-        position[k] = fresh_state(K, problem.domains[a], AgentStreams(params.seed, k),
-                                  forced[a]).position
+        position[k] = fresh_state(K, problem.domains[a], params.seed, k, forced[a]).position
 
     agent_blocks = []  # (row slice, ordinals, bounds, particle-major state)
     for lo in range(0, problem.n_agents, rows):
@@ -70,24 +121,22 @@ def centralized_gcpso(problem: Problem, params: SwarmParams, iterations: int,
         state = AgentSwarmState(position[block].T, np.zeros_like(position[block]).T,
                                 position[block].copy().T, None)
         agent_blocks.append((block, np.arange(block.start, block.stop), bounds, state))
-    edge_blocks = []  # (coefficient columns, ordinals of the i ends, of the j ends)
-    for lo in range(0, len(problem.constraints), rows):
-        cons = problem.constraints[lo:lo + rows]
-        # one QuadraticCost per row, as (E_b, 1) coefficient columns
-        cost = SimpleNamespace(a=np.array([[c.cost.a] for c in cons]),
-                               b=np.array([[c.cost.b] for c in cons]),
-                               c=np.array([[c.cost.c] for c in cons]))
-        edge_blocks.append((cost, np.array([problem.ordinals[c.i] for c in cons]),
-                            np.array([problem.ordinals[c.j] for c in cons])))
+    sums = np.empty((aggregators, K))
     root = RootState(np.full(K, np.inf))
 
     trace = AnytimeTrace()
     for t in range(iterations):
-        fitness = 0.0
-        for cost, i, j in edge_blocks:
-            for edge_cost in evaluate_edge(cost, position[i], position[j]):
-                fitness = fitness + edge_cost
-        best = root_update(root, np.broadcast_to(fitness, (K,)), params, t)
+        for cost, i, j, folds in edge_blocks:
+            costs = evaluate_edge(cost, position[i], position[j])
+            for block_rows, sum_rows, first in folds:
+                if first:
+                    sums[sum_rows] = costs[block_rows]
+                else:
+                    sums[sum_rows] += costs[block_rows]
+        for parents, children in child_folds:
+            sums[parents] += sums[children]
+        fitness = sums[-1] if aggregators else np.zeros(K)  # one agent: no edges
+        best = root_update(root, fitness, params, t)
         best = replace(best, improved=best.improved[:, None])
         for block, ordinals, bounds, state in agent_blocks:
             r1 = keyed_uniforms(params.seed, ordinals, t, DRAW_R1, K).T

@@ -5,6 +5,13 @@ wins, ties broken alphabetically. Each agent's neighbors split into H (higher
 priority) and L (lower priority); constraint edges between same-depth agents
 are cross edges that carry values and edge costs but never aggregates, which
 route along tree parents only.
+
+The tree also fixes the one summation order of every fitness sum, in the
+distributed runtime and the centralized oracle alike. An agent folds its
+contributions in slot order, starting from the first one: the edge costs of
+its L members in L order, then the aggregates of its children with nonempty
+L in BFS order. So the root's fitness vector is bit-identical whatever order
+the contributions arrive in.
 """
 
 from __future__ import annotations
@@ -24,10 +31,22 @@ class PseudoTree:
     H: dict[str, list[str]]         # higher-priority neighbors, highest first
     L: dict[str, list[str]]         # lower-priority neighbors, highest first
     d: int                          # maximum depth
-    expected_fitness_msgs: dict[str, int]
+    # the senders of each agent's fitness contributions in fold order: L's
+    # edge costs, then the aggregates of the children with nonempty L (so
+    # such a child is listed twice)
+    fitness_senders: dict[str, list[str]]
 
     def priority_key(self, agent: str) -> tuple[int, str]:
         return (self.depth[agent], agent)
+
+    def fitness_slot(self, agent: str, sender: str, aggregate: bool) -> int:
+        """Position in `agent`'s fold of `sender`'s edge cost or, if
+        `aggregate`, of its aggregate. Raises ValueError for a sender that
+        owes `agent` no such contribution."""
+        n_edges = len(self.L[agent])
+        if aggregate:
+            return self.fitness_senders[agent].index(sender, n_edges)
+        return self.fitness_senders[agent].index(sender, 0, n_edges)
 
 
 def build_bfs_pseudotree(problem: Problem) -> PseudoTree:
@@ -56,8 +75,8 @@ def build_bfs_pseudotree(problem: Problem) -> PseudoTree:
         higher[agent] = sorted((n for n in adjacency[agent] if key(n) < key(agent)), key=key)
         lower[agent] = sorted((n for n in adjacency[agent] if key(n) > key(agent)), key=key)
 
-    expected = {
-        agent: len(lower[agent]) + sum(1 for child in children[agent] if lower[child])
+    senders = {
+        agent: lower[agent] + [child for child in children[agent] if lower[child]]
         for agent in problem.ids
     }
     return PseudoTree(
@@ -68,7 +87,7 @@ def build_bfs_pseudotree(problem: Problem) -> PseudoTree:
         H=higher,
         L=lower,
         d=max(depth.values()),
-        expected_fitness_msgs=expected,
+        fitness_senders=senders,
     )
 
 
@@ -91,7 +110,7 @@ def render(tree: PseudoTree) -> str:
                 p=tree.parent.get(agent, "-"),
                 h=",".join(tree.H[agent]),
                 l=",".join(tree.L[agent]),
-                e=tree.expected_fitness_msgs[agent],
+                e=len(tree.fitness_senders[agent]),
             )
         )
     return "\n".join(lines)

@@ -104,23 +104,6 @@ def keyed_uniforms(seed: int, ordinal: int | np.ndarray, iteration: int, draw: i
     return np.multiply(bits, 2.0**-53)
 
 
-class AgentStreams:
-    """The keyed uniform streams owned by one agent (one variable)."""
-
-    def __init__(self, seed: int, ordinal: int):
-        self.seed = seed & MASK64
-        self.ordinal = ordinal
-
-    def initial_uniforms(self, n: int) -> np.ndarray:
-        return keyed_uniforms(self.seed, self.ordinal, 0, DRAW_INIT, n)
-
-    def update_uniforms(self, iteration: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(r1, r2) vectors for the velocity updates of one iteration."""
-        r1 = keyed_uniforms(self.seed, self.ordinal, iteration, DRAW_R1, n)
-        r2 = keyed_uniforms(self.seed, self.ordinal, iteration, DRAW_R2, n)
-        return r1, r2
-
-
 class SplitMix64:
     """Sequential SplitMix64 stream (state += GOLDEN; output mix64(state))."""
 

@@ -7,7 +7,10 @@ One machine per agent. Each iteration runs two phases over the pseudo-tree:
   to its higher endpoint; agents with lower-priority neighbors sum everything
   they receive (edge costs from L members, aggregates from children) and
   forward the sum to their parent, so each edge is counted exactly once and
-  the totals telescope to the root.
+  the totals telescope to the root. Each sum folds its contributions in the
+  pseudo-tree's fixed slot order (`PseudoTree.fitness_senders`), not in
+  arrival order, so every fitness vector is bit-identical under any
+  delivery schedule and equals the centralized oracle's.
 * Update: the root judges the aggregated fitness vector and steps the one
   rho controller, then the verdict, which carries rho, travels back down.
   Every agent applies the same verdict with the same rule and draws its
@@ -33,7 +36,7 @@ import numpy as np
 
 from .model import Problem, evaluate_edge
 from .pseudotree import PseudoTree, build_bfs_pseudotree
-from .rng import AgentStreams
+from .rng import DRAW_R1, DRAW_R2, keyed_uniforms
 from .swarm import (AgentSwarmState, BestInfo, RootState, SwarmParams, apply_best,
                     check_force_init, fresh_state, root_update)
 
@@ -134,6 +137,17 @@ class Judged:
 
 
 @dataclass(slots=True)
+class FitnessFold:
+    """An aggregating agent's fitness sum of iteration `fitness_next` in the
+    making: the sum of slots 0 .. folded-1, and the contributions that
+    arrived ahead of their slot's turn."""
+
+    total: np.ndarray | None = None
+    folded: int = 0
+    early: dict[int, np.ndarray] = field(default_factory=dict)
+
+
+@dataclass(slots=True)
 class RoundReport:
     round: int
     delivered: int
@@ -156,9 +170,9 @@ class AgentMachine:
         self.H = tree.H[agent_id]
         self.L = tree.L[agent_id]
         self.parent = tree.parent.get(agent_id)
-        self.expected = tree.expected_fitness_msgs[agent_id]
+        self.tree = tree
+        self.senders = tree.fitness_senders[agent_id]
         self.constraint_with = {nbr: problem.constraint_between(agent_id, nbr) for nbr in self.H}
-        self.streams = AgentStreams(params.seed, self.ordinal)
         self.forced = forced
         self.on_event = on_event
 
@@ -169,8 +183,7 @@ class AgentMachine:
         self.fitness_next = 0           # next iteration to aggregate / judge
         self.values_buf: dict[tuple[int, str], np.ndarray] = {}
         self.best_buf: dict[int, BestInfo] = {}
-        self.acc: dict[int, np.ndarray] = {}
-        self.acc_count: dict[int, int] = {}
+        self.fold: FitnessFold | None = None  # None until iteration fitness_next's first contribution
         # root-only running bests, rho controller and completed verdicts
         self.root_state = RootState(np.full(params.K, np.inf)) if self.is_root else None
         self.completed: list[tuple[int, BestInfo, np.ndarray]] = []
@@ -190,13 +203,7 @@ class AgentMachine:
             if env.best is not None and env.best.iteration >= self.own_iter:
                 self.best_buf[env.best.iteration] = env.best
         elif env.kind in (Kind.EDGE_FITNESS, Kind.AGG_FITNESS):
-            t = env.iteration
-            if t in self.acc:
-                self.acc[t] += env.fitness
-                self.acc_count[t] += 1
-            else:
-                self.acc[t] = env.fitness.copy()  # envelopes stay immutable records
-                self.acc_count[t] = 1
+            self._fold(env)
         else:
             raise AssertionError(f"unexpected envelope kind {env.kind}")
 
@@ -204,7 +211,8 @@ class AgentMachine:
         out: list[Envelope] = []
         if not self.initialized:
             self.initialized = True
-            self.state = fresh_state(self.params.K, self.domain, self.streams, self.forced)
+            self.state = fresh_state(self.params.K, self.domain, self.params.seed, self.ordinal,
+                                     self.forced)
             if self.on_event is not None:
                 self.on_event(Moved(round_no, self.id, 0, self.state.position))
             for j in self.L:
@@ -226,22 +234,53 @@ class AgentMachine:
                 progress = True
             if self.is_root:
                 t = self.fitness_next
-                if (t == self.own_iter and not self.done
-                        and self.acc_count.get(t, 0) == self.expected):
+                if t == self.own_iter and not self.done and self._folded() == len(self.senders):
                     self._judge(t)
                     progress = True
-            elif self.L:
+            elif self.L and self._folded() == len(self.senders):
                 t = self.fitness_next
-                if self.acc_count.get(t, 0) == self.expected:
-                    fit = self.acc.pop(t)
-                    self.acc_count.pop(t)
-                    out.append(Envelope(Kind.AGG_FITNESS, t, self.id, self.parent, fitness=fit))
-                    self.fitness_next = t + 1
-                    progress = True
+                out.append(Envelope(Kind.AGG_FITNESS, t, self.id, self.parent,
+                                    fitness=self._take_sum()))
+                self.fitness_next = t + 1
+                progress = True
         return out
 
+    def _fold(self, env: Envelope):
+        """Fold one fitness contribution in slot order, holding it if an
+        earlier slot is still missing. Raises on a late or duplicate one."""
+        t = env.iteration
+        if t != self.fitness_next:
+            raise RuntimeError(
+                f"{self.id}: {env.kind.value} from {env.sender} for iteration {t} arrived "
+                f"while folding iteration {self.fitness_next}")
+        slot = self.tree.fitness_slot(self.id, env.sender, env.kind is Kind.AGG_FITNESS)
+        fold = self.fold
+        if fold is None:
+            fold = self.fold = FitnessFold()
+        if slot != fold.folded:
+            if slot < fold.folded or slot in fold.early:
+                raise RuntimeError(
+                    f"{self.id}: duplicate {env.kind.value} from {env.sender} for iteration {t}")
+            fold.early[slot] = env.fitness
+            return
+        # out of place: envelopes stay immutable records
+        fold.total = env.fitness if fold.total is None else fold.total + env.fitness
+        fold.folded += 1
+        while fold.folded in fold.early:
+            fold.total = fold.total + fold.early.pop(fold.folded)
+            fold.folded += 1
+
+    def _folded(self) -> int:
+        return 0 if self.fold is None else self.fold.folded
+
+    def _take_sum(self) -> np.ndarray:
+        total = self.fold.total
+        self.fold = None
+        return total
+
     def _apply_update(self, best: BestInfo, round_no: int, out: list[Envelope]):
-        r1, r2 = self.streams.update_uniforms(best.iteration, self.params.K)
+        r1 = keyed_uniforms(self.params.seed, self.ordinal, best.iteration, DRAW_R1, self.params.K)
+        r2 = keyed_uniforms(self.params.seed, self.ordinal, best.iteration, DRAW_R2, self.params.K)
         apply_best(self.state, best, self.params, self.domain, r1, r2)
         self.own_iter = best.iteration + 1
         if self.on_event is not None:
@@ -266,9 +305,8 @@ class AgentMachine:
         self.edge_done_iter = t
 
     def _judge(self, t: int):
-        if self.expected:
-            fit = self.acc.pop(t)
-            self.acc_count.pop(t)
+        if self.senders:
+            fit = self._take_sum()
         else:
             fit = np.zeros(self.params.K)  # isolated root: empty objective
         best = root_update(self.root_state, fit, self.params, t)
@@ -283,7 +321,7 @@ class AgentMachine:
             waits.append(f"values({self.own_iter}) from {missing}")
         if self.is_root or self.L:
             t = self.fitness_next
-            waits.append(f"fitness({t}): {self.acc_count.get(t, 0)}/{self.expected}")
+            waits.append(f"fitness({t}): {self._folded()}/{len(self.senders)} folded")
         if not waits:
             waits.append(f"verdict({self.own_iter})")
         return f"{self.id}@iter {self.own_iter} awaiting " + "; ".join(waits)

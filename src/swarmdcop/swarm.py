@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ContinuousDomain
-from .rng import AgentStreams
+from .rng import DRAW_INIT, keyed_uniforms
 
 
 @dataclass(frozen=True)
@@ -87,23 +87,18 @@ class AgentSwarmState:
     gbest_component: float  # (rows,) for a block of agents
 
 
-def init_components(K: int, domain: ContinuousDomain, streams: AgentStreams):
-    """Zero velocities; positions uniform on the domain from the agent's stream."""
-    velocities = np.zeros(K)
-    positions = domain.lower + streams.initial_uniforms(K) * (domain.upper - domain.lower)
-    return positions, velocities
-
-
-def fresh_state(K: int, domain: ContinuousDomain, streams: AgentStreams,
+def fresh_state(K: int, domain: ContinuousDomain, seed: int, ordinal: int,
                 forced: np.ndarray | None = None) -> AgentSwarmState:
-    """Initial state; `forced` positions must already pass `check_force_init`."""
+    """Initial state of agent `ordinal`: zero velocities and positions uniform
+    on the domain from its keyed stream, or `forced` positions, which must
+    already pass `check_force_init`."""
     if forced is None:
-        positions, velocities = init_components(K, domain, streams)
+        positions = domain.lower + keyed_uniforms(seed, ordinal, 0, DRAW_INIT, K) * domain.width
     else:
-        positions, velocities = np.array(forced, dtype=np.float64), np.zeros(K)
+        positions = np.array(forced, dtype=np.float64)
     return AgentSwarmState(
         position=positions,
-        velocity=velocities,
+        velocity=np.zeros(K),
         pbest_component=positions.copy(),
         gbest_component=float(positions[0]),
     )

@@ -85,7 +85,7 @@ def test_solve_centralized_oracle_agrees(fig1_files, tmp_path, capsys):
     capsys.readouterr()
     dist_v = parse_trace_csv((tmp_path / "d.csv").read_text()).final_gbest
     oracle_v = parse_trace_csv((tmp_path / "c.csv").read_text()).final_gbest
-    assert abs(dist_v - oracle_v) <= 1e-9 * max(1.0, abs(dist_v), abs(oracle_v))
+    assert dist_v == oracle_v
 
 
 def test_solve_grid_oracle(fig1_files, capsys):

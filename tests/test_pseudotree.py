@@ -24,9 +24,14 @@ def test_worked_example_tree(fig1):
     assert tree.L["x3"] == ["x4"]
     assert tree.parent == {"x2": "x1", "x3": "x1", "x4": "x1"}
     assert tree.children["x1"] == ["x2", "x3", "x4"]
-    # x1 expects 3 edge costs from L plus one aggregate from x3 (the only
-    # child with a nonempty L); x3 expects just x4's edge cost
-    assert tree.expected_fitness_msgs == {"x1": 4, "x2": 0, "x3": 1, "x4": 0}
+    # x1 folds 3 edge costs from L, then the aggregate of x3 (the only child
+    # with a nonempty L); x3 folds just x4's edge cost
+    assert tree.fitness_senders == {"x1": ["x2", "x3", "x4", "x3"], "x2": [], "x3": ["x4"],
+                                    "x4": []}
+    assert tree.fitness_slot("x1", "x3", aggregate=False) == 1
+    assert tree.fitness_slot("x1", "x3", aggregate=True) == 3
+    with pytest.raises(ValueError):
+        tree.fitness_slot("x1", "x2", aggregate=True)  # x2 has an empty L
 
 
 def test_single_agent_tree():
@@ -35,7 +40,7 @@ def test_single_agent_tree():
     assert tree.root == "x1"
     assert tree.d == 0
     assert tree.H["x1"] == [] and tree.L["x1"] == []
-    assert tree.expected_fitness_msgs["x1"] == 0
+    assert tree.fitness_senders["x1"] == []
 
 
 def test_path_graph_tree():
@@ -101,8 +106,13 @@ def test_tree_structure_invariants(seed, n, topology):
                 node = tree.parent[node]
                 hops += 1
             assert hops == tree.depth[agent]
-        # recount the expected fitness messages from first principles
-        expected = len(tree.L[agent]) + sum(
-            1 for child in tree.children[agent] if tree.L[child]
-        )
-        assert tree.expected_fitness_msgs[agent] == expected
+        # the fold slots: L's edge costs in priority order, then the
+        # aggregates of the children with nonempty L in BFS order
+        senders = tree.fitness_senders[agent]
+        aggregating = [c for c in tree.children[agent] if tree.L[c]]
+        assert len(senders) == len(tree.L[agent]) + len(aggregating)
+        assert senders[:len(tree.L[agent])] == sorted(tree.L[agent], key=tree.priority_key)
+        assert senders[len(tree.L[agent]):] == aggregating
+        for slot, sender in enumerate(senders):
+            aggregate = slot >= len(tree.L[agent])
+            assert tree.fitness_slot(agent, sender, aggregate) == slot

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from swarmdcop.rng import (
     GOLDEN,
     MASK64,
-    AgentStreams,
     SplitMix64,
     derive_seed,
     keyed_uniforms,
@@ -84,14 +83,6 @@ def test_streams_distinct_across_keys():
     assert not np.array_equal(base, keyed_uniforms(7, 0, 1, 0, 32))
     assert not np.array_equal(base, keyed_uniforms(7, 0, 0, 1, 32))
     assert not np.array_equal(base, keyed_uniforms(8, 0, 0, 0, 32))
-
-
-def test_agent_streams_facade():
-    streams = AgentStreams(42, 5)
-    assert np.array_equal(streams.initial_uniforms(10), keyed_uniforms(42, 5, 0, 0, 10))
-    r1, r2 = streams.update_uniforms(3, 10)
-    assert np.array_equal(r1, keyed_uniforms(42, 5, 3, 1, 10))
-    assert np.array_equal(r2, keyed_uniforms(42, 5, 3, 2, 10))
 
 
 def test_derive_seed_spreads():

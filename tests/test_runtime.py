@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -8,10 +9,12 @@ from swarmdcop import (
     Problem,
     SwarmParams,
     build_bfs_pseudotree,
+    centralized_gcpso,
     generate,
     global_cost,
     run,
 )
+from swarmdcop.rng import SplitMix64
 from swarmdcop.runtime import Kind, Simulator, envelope_scalars, parse_trace_csv
 
 from conftest import FIG1_FITNESS_P1, FIG1_FITNESS_P2, Recorder
@@ -190,7 +193,7 @@ def test_quiescence_leaves_no_pending_state():
             assert machine.done
             assert not machine.values_buf
             assert not machine.best_buf
-            assert not machine.acc and not machine.acc_count
+            assert machine.fold is None
 
 
 def test_best_assignment_costs_the_final_gbest(fig1, fig1_force):
@@ -208,6 +211,79 @@ def test_deadlock_detection_names_blocked_agents(fig1, fig1_force):
     sim = _forced_sim(fig1, fig1_force)
     sim.queue = [e for e in sim.queue if e.recipient != "x2"]  # lose x2's VALUE
     with pytest.raises(RuntimeError, match=r"(?s)deadlock.*x2@iter 0 awaiting values"):
+        sim.run_to_quiescence()
+
+
+def _run_shuffled(sim, seed):
+    """Drive `sim` to quiescence, delivering each round's envelopes in a
+    shuffled order and holding about a quarter of them back 1-3 extra
+    rounds, all drawn from one SplitMix64 stream."""
+    rng = SplitMix64(seed)
+    held = []  # (round of delivery, envelope)
+    while held or not sim.quiescent:
+        now = sim.round + 1
+        due = [env for r, env in held if r == now]
+        held = [(r, env) for r, env in held if r != now]
+        for env in sim.queue:
+            if rng.random() < 0.25:
+                held.append((now + 1 + rng.below(3), env))
+            else:
+                due.append(env)
+        for k in range(len(due) - 1, 0, -1):
+            m = rng.below(k + 1)
+            due[k], due[m] = due[m], due[k]
+        sim.queue = due
+        sim.step()
+    return sim.trace
+
+
+@pytest.mark.parametrize("schedule", [1, 2, 3])
+@pytest.mark.parametrize("spec", [
+    GenSpec("erdos_renyi", 12, 8, p=0.4),
+    GenSpec("scale_free", 14, 3, m=2),
+    GenSpec("random_tree", 13, 5),
+], ids=["er", "scale-free", "tree"])
+def test_results_do_not_depend_on_the_schedule(spec, schedule):
+    problem, params = generate(spec), SwarmParams(K=6, seed=schedule)
+    synchronous, shuffled = Recorder(), Recorder()
+    sim = Simulator(problem, params, 25, on_event=synchronous)
+    expected = sim.run_to_quiescence().gbest_series()
+    other = Simulator(problem, params, 25, on_event=shuffled)
+    got = _run_shuffled(other, (17 << 8) | schedule).gbest_series()
+    assert other.round > sim.round  # the held envelopes did delay the run
+    assert got == expected == centralized_gcpso(problem, params, 25).gbest_series()
+    assert (other.cum_envelopes, other.cum_scalars) == (sim.cum_envelopes, sim.cum_scalars)
+    assert len(shuffled.judged) == len(synchronous.judged) == 25
+    for a, b in zip(shuffled.judged, synchronous.judged):
+        assert a.fitness.tobytes() == b.fitness.tobytes()
+
+
+def _fitness_envelope(sim, recipient):
+    """Step `sim` until a fitness envelope for `recipient` is queued."""
+    while True:
+        sim.step()
+        for env in sim.queue:
+            if env.recipient == recipient and env.kind is Kind.EDGE_FITNESS:
+                return env
+
+
+def test_duplicate_fitness_envelope_raises(fig1, fig1_force):
+    sim = _forced_sim(fig1, fig1_force, iterations=3)
+    env = _fitness_envelope(sim, "x1")
+    sim.queue.append(replace(env))
+    match = f"x1: duplicate EDGE_FITNESS from {env.sender} for iteration 0"
+    with pytest.raises(RuntimeError, match=match):
+        sim.run_to_quiescence()
+
+
+def test_late_fitness_envelope_raises(fig1, fig1_force):
+    sim = _forced_sim(fig1, fig1_force, iterations=3)
+    env = _fitness_envelope(sim, "x3")  # x4's edge cost, which x3 forwards at once
+    sim.step()
+    assert sim.machines[2].fitness_next == 1
+    sim.queue.append(replace(env))
+    match = "x3: EDGE_FITNESS from x4 for iteration 0 arrived while folding iteration 1"
+    with pytest.raises(RuntimeError, match=match):
         sim.run_to_quiescence()
 
 

@@ -8,14 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from swarmdcop import ContinuousDomain, SwarmParams
-from swarmdcop.rng import AgentStreams
+from swarmdcop.rng import DRAW_INIT, DRAW_R1, DRAW_R2, keyed_uniforms
 from swarmdcop.swarm import (
     AgentSwarmState,
     BestInfo,
     RootState,
     apply_best,
     fresh_state,
-    init_components,
     position_update,
     rho_update,
     root_update,
@@ -24,13 +23,13 @@ from swarmdcop.swarm import (
 )
 
 
-def test_init_components_zero_velocity_in_range():
+def test_fresh_state_zero_velocity_in_range():
     domain = ContinuousDomain(-10.0, 10.0)
-    positions, velocities = init_components(64, domain, AgentStreams(9, 0))
-    assert (velocities == 0.0).all()
-    assert (positions >= -10.0).all() and (positions <= 10.0).all()
-    again, _ = init_components(64, domain, AgentStreams(9, 0))
-    assert np.array_equal(positions, again)
+    state = fresh_state(64, domain, 9, 0)
+    assert (state.velocity == 0.0).all()
+    assert (state.position >= -10.0).all() and (state.position <= 10.0).all()
+    assert np.array_equal(state.position, -10.0 + keyed_uniforms(9, 0, 0, DRAW_INIT, 64) * 20.0)
+    assert np.array_equal(state.position, fresh_state(64, domain, 9, 0).position)
 
 
 def test_velocity_standard_degenerate_cases():
@@ -183,7 +182,7 @@ def test_best_fitness_sequences_never_increase(rounds):
 def test_apply_best_refreshes_components_from_judged_positions():
     domain = ContinuousDomain(-10.0, 10.0)
     params = SwarmParams(K=3, w=0.0, c1=0.0, c2=0.0, seed=1)
-    state = fresh_state(3, domain, AgentStreams(1, 0), forced=np.array([1.0, -2.0, 5.0]))
+    state = fresh_state(3, domain, 1, 0, forced=np.array([1.0, -2.0, 5.0]))
     root = RootState(np.array([5.0, math.inf, math.inf]))
     best = root_update(root, np.array([10.0, 3.0, 8.0]), params, t=0)
     assert best.improved.tolist() == [False, True, True]
@@ -205,13 +204,13 @@ def test_apply_best_on_a_block_equals_per_agent_calls(clamp):
     K, domains = 7, [ContinuousDomain(-10.0, 10.0), ContinuousDomain(0.5, 2.0),
                      ContinuousDomain(-1e3, -999.0)]
     params = SwarmParams(K=K, w=1.0, c1=4.0, c2=4.0, clamp_velocity=clamp, seed=3)  # clamps hit
-    states = [fresh_state(K, d, AgentStreams(3, k)) for k, d in enumerate(domains)]
+    states = [fresh_state(K, d, 3, k) for k, d in enumerate(domains)]
     for t in range(4):
-        streams = AgentStreams(3, 10 + t)
         best = _verdict(g_idx=t % K, g_fit=1.0, changed=True, t=t,
-                        improved=streams.initial_uniforms(K) < 0.5)
+                        improved=keyed_uniforms(3, 10 + t, 0, DRAW_INIT, K) < 0.5)
         best.rho = 2.0**-t
-        r = [AgentStreams(3, k).update_uniforms(t, K) for k in range(len(domains))]
+        r = [(keyed_uniforms(3, k, t, DRAW_R1, K), keyed_uniforms(3, k, t, DRAW_R2, K))
+             for k in range(len(domains))]
         block = AgentSwarmState(*(np.stack([getattr(s, f) for s in states], axis=1)
                                   for f in ("position", "velocity", "pbest_component")), None)
         bounds = SimpleNamespace(**{f: np.array([getattr(d, f) for d in domains])
@@ -229,7 +228,7 @@ def test_apply_best_on_a_block_equals_per_agent_calls(clamp):
 def test_velocity_clamp_limits_speed():
     domain = ContinuousDomain(-1.0, 1.0)
     params = SwarmParams(K=2, w=1.0, c1=10.0, c2=10.0, clamp_velocity=True, seed=2)
-    state = fresh_state(2, domain, AgentStreams(2, 0), forced=np.array([-1.0, 1.0]))
+    state = fresh_state(2, domain, 2, 0, forced=np.array([-1.0, 1.0]))
     best = _verdict(g_idx=0, g_fit=1.0, changed=True, improved=[True, True], t=0)
     apply_best(state, best, params, domain, np.ones(2), np.ones(2))
     assert (np.abs(state.velocity) <= domain.width).all()
