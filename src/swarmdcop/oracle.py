@@ -3,9 +3,9 @@
 `centralized_gcpso` runs the identical swarm arithmetic on full assignments
 with no message passing, as one dense swarm stepped a block of rows at a
 time. All positions sit in one agent-major (n, K) array. A block of agents
-draws its uniforms from one key grid (`keyed_uniforms` over an array of
-ordinals) and moves with one `apply_best` call on particle-major (K, rows)
-arrays; a block of edges costs one `evaluate_edge` call on operands gathered
+moves with `swarm.move_block`, the step the runtime's agents take too: one
+key grid per draw and one `apply_best` call on particle-major (K, rows)
+arrays. A block of edges costs one `evaluate_edge` call on operands gathered
 from the positions. Every fitness sum is the pseudo-tree's fold
 (`PseudoTree.fitness_senders`), the one summation order the runtime uses
 too. Every operation is the per-agent one, elementwise in the same order,
@@ -16,7 +16,7 @@ ground-truth oracle for tiny instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
 from types import SimpleNamespace
 
@@ -24,18 +24,9 @@ import numpy as np
 
 from .model import Problem, evaluate_edge, global_cost
 from .pseudotree import build_bfs_pseudotree
-from .rng import DRAW_R1, DRAW_R2, keyed_uniforms
 from .runtime import AnytimeTrace, TraceRow
-from .swarm import (AgentSwarmState, RootState, SwarmParams, apply_best, check_force_init,
-                    fresh_state, root_update)
-
-# Most elements in one working array of the dense swarm (a block of agents or
-# edges by K particles, at least one row): the bound on its working set. On
-# the solve benchmark (2 vCPUs, one pass per workload), against per-agent
-# calls, whole (n, K) and (E, K) arrays raised peak_rss_mb by 23% on
-# sf1600-k50 and 17% on er20-k2000; blocks of 8192 by 3.4% and 2.4%; blocks
-# of 4096 by 2.7% and 1.3%. 2048 was slower at K=2000.
-BLOCK_ELEMENTS = 4096
+from .swarm import (RootState, SwarmParams, block_rows, check_force_init, fresh_block,
+                    move_block, root_update)
 
 
 def _fold_plan(problem: Problem, rows: int):
@@ -90,6 +81,13 @@ def _fold_plan(problem: Problem, rows: int):
     return len(order), edge_blocks, child_folds
 
 
+def _keep_in(position: np.ndarray, span: slice, block):
+    """Copy the block's positions into its rows of `position` and make them
+    views of those rows: the positions live in `position` only."""
+    position[span] = block.state.position.T
+    block.state.position = position[span].T.reshape(block.state.position.shape)
+
+
 def centralized_gcpso(problem: Problem, params: SwarmParams, iterations: int,
                       force_init: dict[str, list[float]] | None = None) -> AnytimeTrace:
     """Reference swarm over complete assignments; per-iteration gbest trace.
@@ -103,24 +101,19 @@ def centralized_gcpso(problem: Problem, params: SwarmParams, iterations: int,
         raise ValueError("iterations must be >= 1")
     forced = check_force_init(force_init, problem.domains, params.K)
     K = params.K
-    rows = max(1, BLOCK_ELEMENTS // K)
+    rows = block_rows(K)
     # planned first: the tree it builds is freed before the swarm's arrays exist
     aggregators, edge_blocks, child_folds = _fold_plan(problem, rows)
     position = np.empty((problem.n_agents, K))
-    for k, a in enumerate(problem.ids):
-        position[k] = fresh_state(K, problem.domains[a], params.seed, k, forced[a]).position
-
-    agent_blocks = []  # (row slice, ordinals, bounds, particle-major state)
+    agent_blocks = []  # (row slice of `position`, block)
     for lo in range(0, problem.n_agents, rows):
-        block = slice(lo, min(lo + rows, problem.n_agents))
-        domains = [problem.domains[a] for a in problem.ids[block]]
-        lower = np.array([d.lower for d in domains])
-        upper = np.array([d.upper for d in domains])
-        # one ContinuousDomain per column, as apply_best reads a domain
-        bounds = SimpleNamespace(lower=lower, upper=upper, width=upper - lower)
-        state = AgentSwarmState(position[block].T, np.zeros_like(position[block]).T,
-                                position[block].copy().T, None)
-        agent_blocks.append((block, np.arange(block.start, block.stop), bounds, state))
+        span = slice(lo, min(lo + rows, problem.n_agents))
+        agents = problem.ids[span]
+        block = fresh_block(K, params.seed, range(span.start, span.stop),
+                            [problem.domains[a] for a in agents],
+                            None if force_init is None else [forced[a] for a in agents])
+        agent_blocks.append((span, block))
+        _keep_in(position, span, block)
     sums = np.empty((aggregators, K))
     root = RootState(np.full(K, np.inf))
 
@@ -128,22 +121,18 @@ def centralized_gcpso(problem: Problem, params: SwarmParams, iterations: int,
     for t in range(iterations):
         for cost, i, j, folds in edge_blocks:
             costs = evaluate_edge(cost, position[i], position[j])
-            for block_rows, sum_rows, first in folds:
+            for cost_rows, sum_rows, first in folds:
                 if first:
-                    sums[sum_rows] = costs[block_rows]
+                    sums[sum_rows] = costs[cost_rows]
                 else:
-                    sums[sum_rows] += costs[block_rows]
+                    sums[sum_rows] += costs[cost_rows]
         for parents, children in child_folds:
             sums[parents] += sums[children]
         fitness = sums[-1] if aggregators else np.zeros(K)  # one agent: no edges
         best = root_update(root, fitness, params, t)
-        best = replace(best, improved=best.improved[:, None])
-        for block, ordinals, bounds, state in agent_blocks:
-            r1 = keyed_uniforms(params.seed, ordinals, t, DRAW_R1, K).T
-            r2 = keyed_uniforms(params.seed, ordinals, t, DRAW_R2, K).T
-            apply_best(state, best, params, bounds, r1, r2)
-            position[block] = state.position.T
-            state.position = position[block].T  # the positions live in `position` only
+        for span, block in agent_blocks:
+            move_block(block, best, params)
+            _keep_in(position, span, block)
         trace.rows.append(TraceRow(t + 1, 0, root.gbest_fitness, 0, 0))
     return trace
 

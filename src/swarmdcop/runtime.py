@@ -20,6 +20,17 @@ Delivery is synchronous: an envelope sent in round r arrives in round r+1,
 and agents fire in ordinal order within a round. Runs are bit-reproducible
 from (problem, params).
 
+Each round is one superstep. Every agent with mail fires: it absorbs its
+inbox and runs the protocol, queuing its moves and edge costs. Then the
+round's numeric work runs batched: the movers under each verdict step a
+block of agents at a time, one key grid per draw and one `apply_best` per
+block (`swarm.move_block`, the step the centralized oracle takes too), and
+long runs of edge costs are evaluated with one gathered `evaluate_edge`
+call. Last, each agent's records and envelopes go out, in firing order,
+carrying the arrays the batch computed. Every element is computed as the
+per-agent call computes it, and the fixed fold order makes the order of the
+work within a round irrelevant, so batching changes no result.
+
 A run is observed through one optional callable, `Simulator(on_event=...)`,
 which receives every sent `Envelope`, every `Moved` agent, every `Judged`
 iteration and every round's `RoundReport` as they happen. Without it the
@@ -30,15 +41,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from .model import Problem, evaluate_edge
+from .model import Problem, QuadraticCost, evaluate_edge
 from .pseudotree import PseudoTree, build_bfs_pseudotree
-from .rng import DRAW_R1, DRAW_R2, keyed_uniforms
-from .swarm import (AgentSwarmState, BestInfo, RootState, SwarmParams, apply_best,
-                    check_force_init, fresh_state, root_update)
+from .swarm import (AgentSwarmState, BestInfo, Block, RootState, SwarmParams, block_rows,
+                    check_force_init, domain_bounds, fresh_block, move_block, root_update)
+
+
+# A run of at least this many edge costs in one round is evaluated as one
+# gathered call; below it, copying the operands together costs more than the
+# calls it saves (2-vCPU machine: 8 edges at K=500 took 65 us one by one and
+# 71 us gathered, 20 edges at K=200 176 us and 86 us).
+GATHERED_EDGES = 12
 
 
 class Kind(Enum):
@@ -156,11 +174,20 @@ class RoundReport:
 
 
 class AgentMachine:
-    """One agent: owns its swarm components, acts only on received envelopes."""
+    """One agent: holds its swarm components, acts only on received envelopes.
+    Its moves and edge costs are queued for the simulator's batched step."""
+
+    # slots: there is one instance per agent, and on CPython 3.11 an instance
+    # with more than 26 attributes carries a 1.6 KB attribute dict, not 0.3 KB
+    __slots__ = ("id", "ordinal", "domain", "params", "max_iterations", "is_root", "H", "L",
+                 "parent", "tree", "senders", "constraint_with", "on_event", "block", "column",
+                 "position", "moves", "edge_costs", "moved", "initialized",
+                 "own_iter", "edge_done_iter", "fitness_next", "values_buf", "best_buf", "fold",
+                 "root_state", "completed")
 
     def __init__(self, agent_id: str, problem: Problem, tree: PseudoTree,
                  params: SwarmParams, max_iterations: int,
-                 forced: np.ndarray | None, on_event):
+                 on_event, moves: list, edge_costs: list[Envelope]):
         self.id = agent_id
         self.ordinal = problem.ordinals[agent_id]
         self.domain = problem.domains[agent_id]
@@ -173,10 +200,21 @@ class AgentMachine:
         self.tree = tree
         self.senders = tree.fitness_senders[agent_id]
         self.constraint_with = {nbr: problem.constraint_between(agent_id, nbr) for nbr in self.H}
-        self.forced = forced
         self.on_event = on_event
 
-        self.state: AgentSwarmState | None = None
+        # the components of the K particles: column `column` of a block shared
+        # with the agents that moved with this one (set up by the simulator);
+        # `position` is that column of the block's positions
+        self.block: Block | None = None
+        self.column = 0
+        self.position: np.ndarray | None = None
+        # the round's numeric work, queues shared by all agents and worked off
+        # by the simulator: (agent, verdict, its UPDATE envelopes, its Moved
+        # record) per move and the envelope of each edge cost, whose arrays it
+        # fills in; and, if observed, this agent's Moved records to emit
+        self.moves = moves
+        self.edge_costs = edge_costs
+        self.moved: list[Moved] | None = [] if on_event is not None else None
         self.initialized = False
         self.own_iter = 0               # iteration of the current positions
         self.edge_done_iter = -1
@@ -191,6 +229,11 @@ class AgentMachine:
     @property
     def gbest_index(self) -> int:
         return self.root_state.gbest_index
+
+    @property
+    def state(self) -> AgentSwarmState:
+        """This agent's components of the K particles (views of its block)."""
+        return self.block.column(self.column)
 
     @property
     def done(self) -> bool:
@@ -208,15 +251,15 @@ class AgentMachine:
             raise AssertionError(f"unexpected envelope kind {env.kind}")
 
     def fire(self, round_no: int, inbox: list[Envelope]) -> list[Envelope]:
+        """Absorb `inbox` and run the protocol as far as it goes; return the
+        envelopes sent, whose arrays the simulator fills in this round."""
         out: list[Envelope] = []
         if not self.initialized:
             self.initialized = True
-            self.state = fresh_state(self.params.K, self.domain, self.params.seed, self.ordinal,
-                                     self.forced)
             if self.on_event is not None:
-                self.on_event(Moved(round_no, self.id, 0, self.state.position))
+                self.moved.append(Moved(round_no, self.id, 0, self.position))
             for j in self.L:
-                out.append(Envelope(Kind.VALUE, 0, self.id, j, values=self.state.position))
+                out.append(Envelope(Kind.VALUE, 0, self.id, j, values=self.position))
         for env in inbox:
             self._absorb(env)
 
@@ -247,13 +290,19 @@ class AgentMachine:
 
     def _fold(self, env: Envelope):
         """Fold one fitness contribution in slot order, holding it if an
-        earlier slot is still missing. Raises on a late or duplicate one."""
+        earlier slot is still missing. Raises on a late or duplicate one, or
+        one its sender does not owe."""
         t = env.iteration
         if t != self.fitness_next:
             raise RuntimeError(
                 f"{self.id}: {env.kind.value} from {env.sender} for iteration {t} arrived "
                 f"while folding iteration {self.fitness_next}")
-        slot = self.tree.fitness_slot(self.id, env.sender, env.kind is Kind.AGG_FITNESS)
+        try:
+            slot = self.tree.fitness_slot(self.id, env.sender, env.kind is Kind.AGG_FITNESS)
+        except ValueError:
+            raise RuntimeError(
+                f"{self.id}: {env.kind.value} from {env.sender} for iteration {t}, "
+                f"which {env.sender} does not owe {self.id}") from None
         fold = self.fold
         if fold is None:
             fold = self.fold = FitnessFold()
@@ -279,30 +328,38 @@ class AgentMachine:
         return total
 
     def _apply_update(self, best: BestInfo, round_no: int, out: list[Envelope]):
-        r1 = keyed_uniforms(self.params.seed, self.ordinal, best.iteration, DRAW_R1, self.params.K)
-        r2 = keyed_uniforms(self.params.seed, self.ordinal, best.iteration, DRAW_R2, self.params.K)
-        apply_best(self.state, best, self.params, self.domain, r1, r2)
+        """Send the move under `best`; the simulator makes it this round and
+        fills the moved positions into the envelopes and the record."""
         self.own_iter = best.iteration + 1
+        moved = None
         if self.on_event is not None:
-            self.on_event(Moved(round_no, self.id, self.own_iter, self.state.position))
+            moved = Moved(round_no, self.id, self.own_iter, None)
+            self.moved.append(moved)
         # the final verdict still floods down so every agent consumes it; the
         # `done` guard on the evaluation phase stops the cascade afterwards
-        for j in self.L:
-            out.append(Envelope(Kind.UPDATE, self.own_iter, self.id, j,
-                                values=self.state.position, best=best))
+        updates = [Envelope(Kind.UPDATE, self.own_iter, self.id, j, best=best) for j in self.L]
+        out.extend(updates)
+        self.moves.append((self, best, updates, moved))
 
     def _send_edge_costs(self, out: list[Envelope]):
-        t = self.own_iter
-        own = self.state.position
+        """Send this iteration's edge costs; the simulator evaluates them this
+        round (see `edge_operands`)."""
         for h in self.H:
-            h_values = self.values_buf.pop((t, h))
-            con = self.constraint_with[h]
-            if con.i == h:
-                fit = evaluate_edge(con.cost, h_values, own)
-            else:
-                fit = evaluate_edge(con.cost, own, h_values)
-            out.append(Envelope(Kind.EDGE_FITNESS, t, self.id, h, fitness=fit))
-        self.edge_done_iter = t
+            env = Envelope(Kind.EDGE_FITNESS, self.own_iter, self.id, h)
+            out.append(env)
+            self.edge_costs.append(env)
+        self.edge_done_iter = self.own_iter
+
+    def edge_operands(self, env: Envelope) -> tuple[QuadraticCost, np.ndarray, np.ndarray]:
+        """The cost and the (xi, xj) operands of the edge cost `env` carries,
+        on this agent's latest positions: those of its moves this round, if
+        any, which is the iteration the envelope is tagged with."""
+        h = env.recipient
+        con = self.constraint_with[h]
+        h_values = self.values_buf.pop((env.iteration, h))
+        if con.i == h:
+            return con.cost, h_values, self.position
+        return con.cost, self.position, h_values
 
     def _judge(self, t: int):
         if self.senders:
@@ -329,7 +386,8 @@ class AgentMachine:
 
 class Simulator:
     """Round executor: deliver last round's envelopes, fire recipients in
-    ordinal order, queue their sends for the next round.
+    ordinal order, make the round's moves and edge costs batched, queue the
+    recipients' sends for the next round.
 
     `on_event`, if given, is called with each `Envelope` as it is sent (it is
     delivered the next round), each `Moved`, each `Judged` and each round's
@@ -348,11 +406,25 @@ class Simulator:
         self.tree = build_bfs_pseudotree(problem)
 
         forced = check_force_init(force_init, problem.domains, params.K)
+        self._moves: list[tuple[AgentMachine, BestInfo, list[Envelope], Moved | None]] = []
+        self._edge_costs: list[Envelope] = []
         self.machines = [
             AgentMachine(agent_id, problem, self.tree, params, iterations,
-                         forced[agent_id], on_event)
+                         on_event, self._moves, self._edge_costs)
             for agent_id in problem.ids
         ]
+        # each level's agents, in ordinal order, start in blocks of rows: the
+        # runs in which they move under the synchronous schedule
+        rows = block_rows(params.K)
+        levels: dict[int, list[AgentMachine]] = {}
+        for machine in self.machines:
+            levels.setdefault(self.tree.depth[machine.id], []).append(machine)
+        for level in levels.values():
+            for lo in range(0, len(level), rows):
+                run = level[lo:lo + rows]
+                self._hold(run, fresh_block(
+                    params.K, params.seed, [m.ordinal for m in run], [m.domain for m in run],
+                    None if force_init is None else [forced[m.id] for m in run]))
         self._by_id = {m.id: m for m in self.machines}
         self.root = self._by_id[self.tree.root]
         self.round = 0
@@ -360,10 +432,7 @@ class Simulator:
         self.cum_envelopes = 0
         self.cum_scalars = 0
         self.trace = AnytimeTrace()
-
-        for machine in self.machines:
-            self._register_sends(machine.fire(0, []))
-        self._drain_root(0)
+        self._run_round(0, [(machine, []) for machine in self.machines])
 
     def _register_sends(self, envs: list[Envelope]):
         for env in envs:
@@ -404,18 +473,105 @@ class Simulator:
         inboxes: dict[str, list[Envelope]] = {}
         for env in deliveries:
             inboxes.setdefault(env.recipient, []).append(env)
-        fired = 0
+        fired = [(m, inboxes[m.id]) for m in self.machines if m.id in inboxes]
         sent_before = self.cum_envelopes
-        for machine in self.machines:
-            inbox = inboxes.get(machine.id)
-            if inbox is not None:
-                fired += 1
-                self._register_sends(machine.fire(self.round, inbox))
-                self._drain_root(self.round)
-        report = RoundReport(self.round, len(deliveries), fired, self.cum_envelopes - sent_before)
+        self._run_round(self.round, fired)
+        report = RoundReport(self.round, len(deliveries), len(fired),
+                             self.cum_envelopes - sent_before)
         if self.on_event is not None:
             self.on_event(report)
         return report
+
+    def _run_round(self, round_no: int, fired: list[tuple[AgentMachine, list[Envelope]]]):
+        """One superstep: every agent with mail fires in ordinal order, the
+        round's moves and edge costs run batched, then each agent's records
+        and envelopes go out in firing order."""
+        sends = [machine.fire(round_no, inbox) for machine, inbox in fired]
+        if self._moves:
+            self._move()
+        if self._edge_costs:
+            self._evaluate_edges()
+        for (machine, _), out in zip(fired, sends):
+            if self.on_event is not None:
+                for moved in machine.moved:
+                    self.on_event(moved)
+                machine.moved.clear()
+            self._register_sends(out)
+            self._drain_root(round_no)
+
+    def _move(self):
+        """Make the round's moves. The movers under each verdict, in ordinal
+        order, step a block of rows at a time. A run of movers that is exactly
+        the block they are in steps that block again, as every run does under
+        the synchronous schedule; any other run is copied into a new block.
+        Verdicts go in iteration order, so an agent that moves twice in a
+        round (a lone root) moves in order."""
+        verdicts: dict[int, BestInfo] = {}
+        movers: dict[int, list] = {}  # iteration -> (machine, UPDATE envelopes, Moved record)
+        for machine, best, updates, moved in self._moves:
+            verdicts[best.iteration] = best
+            movers.setdefault(best.iteration, []).append((machine, updates, moved))
+        self._moves.clear()
+        rows = block_rows(self.params.K)
+        for t in sorted(movers):
+            best, group = verdicts[t], movers[t]
+            for lo in range(0, len(group), rows):
+                run = group[lo:lo + rows]
+                block = run[0][0].block
+                if np.size(block.ordinals) != len(run) or any(
+                        m.block is not block or m.column != c for c, (m, _, _) in enumerate(run)):
+                    block = self._regather([m for m, _, _ in run])
+                move_block(block, best, self.params)
+                for c, (machine, updates, moved) in enumerate(run):
+                    machine.position = block.position_of(c)
+                    for env in updates:
+                        env.values = machine.position
+                    if moved is not None:
+                        moved.position = machine.position
+
+    @staticmethod
+    def _hold(machines: list[AgentMachine], block: Block):
+        """Point each machine at its column of `block`, in order."""
+        for c, machine in enumerate(machines):
+            machine.block, machine.column = block, c
+            machine.position = block.position_of(c)
+
+    def _regather(self, machines: list[AgentMachine]) -> Block:
+        """A new block holding the machines' components, in order: copies, or
+        for one machine, as `fresh_block` holds it, its own (steps replace
+        arrays and never write into them)."""
+        states = [m.state for m in machines]
+        if len(machines) == 1:
+            block = Block(machines[0].ordinal, machines[0].domain, states[0])
+        else:
+            block = Block(np.array([m.ordinal for m in machines]),
+                          domain_bounds([m.domain for m in machines]),
+                          AgentSwarmState(*(np.array([getattr(s, f) for s in states]).T for f in (
+                              "position", "velocity", "pbest_component", "gbest_component"))))
+        self._hold(machines, block)
+        return block
+
+    def _evaluate_edges(self):
+        """Cost the round's edge-cost sends, in firing order and in runs of a
+        block of rows: a run of at least `GATHERED_EDGES` edges with one
+        `evaluate_edge` call on gathered operands, a shorter run edge by edge."""
+        rows = block_rows(self.params.K)
+        for lo in range(0, len(self._edge_costs), rows):
+            run = self._edge_costs[lo:lo + rows]
+            operands = [self._by_id[env.sender].edge_operands(env) for env in run]
+            if len(run) < GATHERED_EDGES:
+                for env, (cost, xi, xj) in zip(run, operands):
+                    env.fitness = evaluate_edge(cost, xi, xj)
+                continue
+            # one QuadraticCost per row, as (E_b, 1) coefficient columns
+            cost = SimpleNamespace(a=np.array([[c.a] for c, _, _ in operands]),
+                                   b=np.array([[c.b] for c, _, _ in operands]),
+                                   c=np.array([[c.c] for c, _, _ in operands]))
+            costs = evaluate_edge(cost, np.array([xi for _, xi, _ in operands]),
+                                  np.array([xj for _, _, xj in operands]))
+            for e, env in enumerate(run):
+                env.fitness = costs[e]
+        self._edge_costs.clear()
 
     def run_to_quiescence(self) -> AnytimeTrace:
         while not self.quiescent:

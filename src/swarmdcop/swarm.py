@@ -10,20 +10,36 @@ rho to the agents, which keep only their particle components.
 
 All update functions accept scalars or equal-length numpy arrays and keep a
 fixed expression shape, so vectorized and scalar evaluation round identically
-per element. The distributed runtime and the centralized reference both call
-these functions on the same keyed random draws, which makes their particle
-trajectories bit-identical.
+per element. The distributed runtime and the centralized reference both step
+blocks of agents with `move_block` (one key grid per draw, one `apply_best`)
+on the same keyed random draws, which makes their particle trajectories
+bit-identical.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .model import ContinuousDomain
-from .rng import DRAW_INIT, keyed_uniforms
+from .rng import DRAW_INIT, DRAW_R1, DRAW_R2, keyed_uniforms
+
+# Most elements in one working array of a block of agents or edges by K
+# particles (at least one row): the bound on its working set. On the solve
+# benchmark (2 vCPUs, one pass per workload), against per-agent calls, whole
+# (n, K) and (E, K) arrays in the centralized reference raised peak_rss_mb by
+# 23% on sf1600-k50 and 17% on er20-k2000; blocks of 8192 by 3.4% and 2.4%;
+# blocks of 4096 by 2.7% and 1.3%. 2048 was slower at K=2000.
+BLOCK_ELEMENTS = 4096
+
+
+def block_rows(K: int) -> int:
+    """Agents or edges per block at K particles."""
+    return max(1, BLOCK_ELEMENTS // K)
 
 
 @dataclass(frozen=True)
@@ -87,20 +103,84 @@ class AgentSwarmState:
     gbest_component: float  # (rows,) for a block of agents
 
 
-def fresh_state(K: int, domain: ContinuousDomain, seed: int, ordinal: int,
+def domain_bounds(domains: list[ContinuousDomain]) -> SimpleNamespace:
+    """The domains of a block of agents, one per column, as `apply_best` and
+    `fresh_state` read a domain: lower, upper and width arrays."""
+    lower = np.array([d.lower for d in domains])
+    upper = np.array([d.upper for d in domains])
+    return SimpleNamespace(lower=lower, upper=upper, width=upper - lower)
+
+
+@dataclass
+class Block:
+    """A particle-major block of agents: `state` arrays of shape (K, rows), one
+    column per agent, with each column's ordinal and domain bounds. A block of
+    one agent holds the agent's ordinal, domain and 1-D state instead, which
+    steps as fast as a per-agent call (at K=2000 a (K, 1) block stepped about
+    45% slower)."""
+
+    ordinals: np.ndarray | int
+    bounds: SimpleNamespace | ContinuousDomain
+    state: AgentSwarmState
+
+    def position_of(self, c: int) -> np.ndarray:
+        """Agent c's positions: a view of column c."""
+        position = self.state.position
+        return position if position.ndim == 1 else position[:, c]
+
+    def column(self, c: int) -> AgentSwarmState:
+        """Agent c's components: views of column c."""
+        s = self.state
+        if s.position.ndim == 1:
+            return AgentSwarmState(s.position, s.velocity, s.pbest_component, s.gbest_component)
+        return AgentSwarmState(s.position[:, c], s.velocity[:, c], s.pbest_component[:, c],
+                               s.gbest_component[c])
+
+
+def fresh_block(K: int, seed: int, ordinals: Sequence[int], domains: list[ContinuousDomain],
+                forced: list[np.ndarray] | None = None) -> Block:
+    """The initial block of the agents `ordinals`, column c with domain
+    `domains[c]` and, if given, forced positions `forced[c]` (see
+    `fresh_state`)."""
+    if len(ordinals) == 1:
+        return Block(ordinals[0], domains[0], fresh_state(
+            K, domains[0], seed, ordinals[0], None if forced is None else forced[0]))
+    ordinals, bounds = np.array(ordinals), domain_bounds(domains)
+    if forced is not None:
+        forced = np.array(forced).T
+    return Block(ordinals, bounds, fresh_state(K, bounds, seed, ordinals, forced))
+
+
+def move_block(block: Block, best: BestInfo, params: SwarmParams):
+    """Step every agent of `block` under one verdict: one key grid per draw
+    and one `apply_best`. Replaces the block's state arrays and writes into
+    none of them."""
+    r1 = keyed_uniforms(params.seed, block.ordinals, best.iteration, DRAW_R1, params.K)
+    r2 = keyed_uniforms(params.seed, block.ordinals, best.iteration, DRAW_R2, params.K)
+    apply_best(block.state, best, params, block.bounds, r1.T, r2.T)
+
+
+def fresh_state(K: int, domain: ContinuousDomain, seed: int, ordinal: int | np.ndarray,
                 forced: np.ndarray | None = None) -> AgentSwarmState:
     """Initial state of agent `ordinal`: zero velocities and positions uniform
     on the domain from its keyed stream, or `forced` positions, which must
-    already pass `check_force_init`."""
+    already pass `check_force_init`.
+
+    `ordinal` may also be an array of ordinals, with `domain` their
+    `domain_bounds` and `forced`, if given, one column per ordinal: the state
+    is then particle-major, of shape (K, rows), drawn from one key grid, and
+    each column is bit-identical to the per-agent state.
+    """
     if forced is None:
-        positions = domain.lower + keyed_uniforms(seed, ordinal, 0, DRAW_INIT, K) * domain.width
+        # .T turns the grid's rows into columns and leaves one agent's draw as is
+        positions = domain.lower + keyed_uniforms(seed, ordinal, 0, DRAW_INIT, K).T * domain.width
     else:
         positions = np.array(forced, dtype=np.float64)
     return AgentSwarmState(
         position=positions,
-        velocity=np.zeros(K),
-        pbest_component=positions.copy(),
-        gbest_component=float(positions[0]),
+        velocity=np.zeros_like(positions),
+        pbest_component=positions.copy(order="K"),
+        gbest_component=positions[0],
     )
 
 
@@ -196,11 +276,12 @@ def apply_best(state: AgentSwarmState, best: BestInfo, params: SwarmParams,
     every particle component. Mutates `state` in place.
 
     The same call steps a particle-major block of agents: `state` arrays,
-    r1 and r2 of shape (K, rows), `best.improved` as a (K, 1) column and
-    domain bounds of shape (rows,). Each element rounds as in the per-agent
-    call, so a block step is bit-identical to stepping its agents one by one.
+    r1 and r2 of shape (K, rows) and domain bounds of shape (rows,). Each
+    element rounds as in the per-agent call, so a block step is bit-identical
+    to stepping its agents one by one.
     """
-    state.pbest_component = np.where(best.improved, state.position, state.pbest_component)
+    improved = best.improved if state.position.ndim == 1 else best.improved[:, None]
+    state.pbest_component = np.where(improved, state.position, state.pbest_component)
     state.gbest_component = state.pbest_component[best.gbest_index]
 
     v_new = velocity_standard(state.velocity, state.position, state.pbest_component,

@@ -18,15 +18,16 @@ from swarmdcop import (
     generate,
     global_cost,
     grid_search,
-    oracle,
     run,
+    runtime,
+    swarm,
 )
 from swarmdcop.model import evaluate_edge
 from swarmdcop.rng import DRAW_R1, DRAW_R2, keyed_uniforms
-from swarmdcop.runtime import TraceRow
+from swarmdcop.runtime import Simulator, TraceRow
 from swarmdcop.swarm import RootState, apply_best, check_force_init, fresh_state, root_update
 
-from conftest import FIG1_FITNESS_P2
+from conftest import FIG1_FITNESS_P2, Recorder
 
 
 @pytest.mark.parametrize("topology,seed,n", [
@@ -49,7 +50,7 @@ def test_centralized_worked_example(fig1, fig1_force):
     assert trace.final_gbest == pytest.approx(FIG1_FITNESS_P2, abs=1e-9)
 
 
-def test_centralized_fitness_is_bitwise_global_cost(fig1, fig1_force):
+def test_constraint_order_fold_equals_global_cost(fig1, fig1_force):
     # a vectorized constraint-order fold equals the scalar `global_cost`
     K = 2
     fitness = np.zeros(K)
@@ -74,6 +75,31 @@ def _tree_fold(problem, tree, position, K):
             for part in parts[1:]:
                 sums[a] = sums[a] + part
     return sums.get(tree.root, np.zeros(K))
+
+
+@pytest.mark.parametrize("case", ["fig1-force-init", "gathered-edges"])
+def test_judged_fitness_is_the_tree_fold(case, fig1, fig1_force, monkeypatch):
+    # every fitness vector the runtime's root judges is the pseudo-tree's fold
+    # of that iteration's positions, whether its edge costs were evaluated one
+    # by one or as gathered runs
+    force_init = None
+    if case == "fig1-force-init":
+        problem, params, force_init = fig1, SwarmParams(K=2, seed=0), fig1_force
+    else:
+        problem, params = generate(GenSpec("scale_free", 40, 6, m=3)), SwarmParams(K=6, seed=2)
+    operands = []
+    evaluate = runtime.evaluate_edge
+    monkeypatch.setattr(runtime, "evaluate_edge",
+                        lambda cost, xi, xj: operands.append(np.ndim(xi)) or evaluate(cost, xi, xj))
+    rec = Recorder()
+    Simulator(problem, params, 12, force_init=force_init, on_event=rec).run_to_quiescence()
+    assert (2 in operands) == (case == "gathered-edges")
+    tree = build_bfs_pseudotree(problem)
+    fitness = rec.fitness()
+    assert sorted(fitness) == list(range(12))
+    for t, judged in fitness.items():
+        position = {a: rec.positions(a)[t] for a in problem.ids}
+        assert judged.tobytes() == _tree_fold(problem, tree, position, params.K).tobytes()
 
 
 def _per_agent_gcpso(problem, params, iterations, force_init=None):
@@ -114,7 +140,7 @@ def test_centralized_equals_per_agent_reference(case, fig1, fig1_force, monkeypa
         problem = _mixed_domains(generate(GenSpec("erdos_renyi", 9, 3, p=0.4)))
         params = SwarmParams(K=17, clamp_velocity=True, seed=9)
     else:  # blocks of 3 rows: 10 agents in 4 blocks (the last holds one), 18 edges in 6
-        monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", 3 * 8 + 7)
+        monkeypatch.setattr(swarm, "BLOCK_ELEMENTS", 3 * 8 + 7)
         problem = _mixed_domains(generate(GenSpec("erdos_renyi", 10, 5, p=0.4)))
         params = SwarmParams(K=8, seed=(1 << 64) - 1)
         assert (problem.n_agents, len(problem.constraints)) == (10, 18)

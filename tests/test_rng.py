@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from swarmdcop.rng import (
@@ -65,11 +65,14 @@ def test_keyed_uniforms_deterministic_and_in_range(seed, ordinal, iteration, dra
 
 @given(
     seed=st.integers(0, MASK64),
-    ordinals=st.lists(st.integers(0, 100_000), min_size=1, max_size=6),
+    ordinals=st.lists(st.integers(0, 100_000), min_size=1, max_size=20),
     iteration=st.integers(0, 10_000),
     draw=st.integers(0, 2),
     n=st.integers(1, 40),
 )
+# rows hashed one by one and as one array
+@example(seed=MASK64, ordinals=[3, 1, 4], iteration=9, draw=2, n=5)
+@example(seed=MASK64, ordinals=list(range(100_000, 99_980, -1)), iteration=9, draw=2, n=5)
 def test_key_grid_rows_equal_scalar_calls(seed, ordinals, iteration, draw, n):
     grid = keyed_uniforms(seed, np.array(ordinals), iteration, draw, n)
     stacked = np.stack([keyed_uniforms(seed, o, iteration, draw, n) for o in ordinals])

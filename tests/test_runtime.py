@@ -1,6 +1,10 @@
+import gc
 import math
+import weakref
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from swarmdcop import (
@@ -13,9 +17,13 @@ from swarmdcop import (
     generate,
     global_cost,
     run,
+    runtime,
+    swarm,
 )
-from swarmdcop.rng import SplitMix64
-from swarmdcop.runtime import Kind, Simulator, envelope_scalars, parse_trace_csv
+from swarmdcop.rng import DRAW_R1, DRAW_R2, SplitMix64, keyed_uniforms
+from swarmdcop.runtime import (Envelope, Kind, Moved, Simulator, envelope_scalars,
+                               parse_trace_csv)
+from swarmdcop.swarm import RootState, apply_best, fresh_state, root_update
 
 from conftest import FIG1_FITNESS_P1, FIG1_FITNESS_P2, Recorder
 
@@ -285,6 +293,115 @@ def test_late_fitness_envelope_raises(fig1, fig1_force):
     match = "x3: EDGE_FITNESS from x4 for iteration 0 arrived while folding iteration 1"
     with pytest.raises(RuntimeError, match=match):
         sim.run_to_quiescence()
+
+
+def test_unowed_fitness_envelope_raises(fig1, fig1_force):
+    sim = _forced_sim(fig1, fig1_force, iterations=3)
+    env = _fitness_envelope(sim, "x1")
+    # x2 owes x1 an edge cost, but no aggregate: its L is empty
+    sim.queue.append(replace(env, kind=Kind.AGG_FITNESS, sender="x2"))
+    match = "x1: AGG_FITNESS from x2 for iteration 0, which x2 does not owe x1"
+    with pytest.raises(RuntimeError, match=match):
+        sim.run_to_quiescence()
+
+
+class _Snapshots:
+    """A `Simulator(on_event=...)` callable that keeps every array of every
+    `Envelope` and `Moved` record with its bytes when it was emitted."""
+
+    def __init__(self):
+        self.taken = []
+
+    def __call__(self, event):
+        if isinstance(event, Envelope):
+            arrays = [event.values, event.fitness, event.best and event.best.improved]
+        elif isinstance(event, Moved):
+            arrays = [event.position]
+        else:
+            return
+        self.taken.extend((a, a.tobytes()) for a in arrays if a is not None)
+
+
+@pytest.mark.parametrize("schedule", [None, 4], ids=["synchronous", "shuffled"])
+def test_records_are_never_written_after_they_are_emitted(schedule):
+    # blocks are stepped again and again: no step may write into an array
+    # that an envelope or a record already carries
+    problem, params = generate(GenSpec("scale_free", 40, 6, m=3)), SwarmParams(K=6, seed=2)
+    snapshots = _Snapshots()
+    sim = Simulator(problem, params, 15, on_event=snapshots)
+    if schedule is None:
+        sim.run_to_quiescence()
+    else:
+        _run_shuffled(sim, schedule)
+    assert len(snapshots.taken) > sim.cum_envelopes
+    for array, taken in snapshots.taken:
+        assert array.tobytes() == taken
+
+
+def _components(sim):
+    return [(m.state.position.tobytes(), m.state.velocity.tobytes(),
+             m.state.pbest_component.tobytes()) for m in sim.machines]
+
+
+def test_blocks_of_a_few_agents_change_no_result(monkeypatch):
+    problem, params, T = generate(GenSpec("scale_free", 40, 7, m=2)), SwarmParams(K=4, seed=21), 20
+    default = Simulator(problem, params, T)
+    default.run_to_quiescence()
+
+    made = []  # a weak reference to every block made
+
+    def tracked(*args, block_class=swarm.Block):
+        block = block_class(*args)
+        made.append(weakref.ref(block))
+        return block
+
+    monkeypatch.setattr(swarm, "Block", tracked)
+    monkeypatch.setattr(runtime, "Block", tracked)
+    monkeypatch.setattr(swarm, "BLOCK_ELEMENTS", 3 * params.K)  # blocks of 3 agents
+    levels = Counter(build_bfs_pseudotree(problem).depth.values())
+    assert max(levels.values()) > 3  # a level spans several blocks
+
+    # synchronous: each level starts in blocks of 3 and moves as those same
+    # runs every iteration, so every step reuses a block and none is gathered
+    sim = Simulator(problem, params, T)
+    assert len(made) == sum(-(-size // 3) for size in levels.values())
+    assert sim.run_to_quiescence().to_csv() == default.trace.to_csv()
+    assert len(made) == sum(-(-size // 3) for size in levels.values())
+    assert _components(sim) == _components(default)
+    assert sim.trace.gbest_series() == centralized_gcpso(problem, params, T).gbest_series()
+
+    # shuffled: rounds move agents of several levels, so runs are regathered,
+    # and no block outlives the agents that hold it
+    made.clear()
+    rec = Recorder()
+    shuffled = Simulator(problem, params, T, on_event=rec)
+    assert _run_shuffled(shuffled, 5).gbest_series() == default.trace.gbest_series()
+    assert _components(shuffled) == _components(default)
+    depths = {}
+    for moved in rec.moved:
+        depths.setdefault(moved.round, set()).add(shuffled.tree.depth[moved.agent])
+    assert max(len(d) for d in depths.values()) >= 2
+    gc.collect()
+    live = {id(ref()) for ref in made if ref() is not None}
+    assert live == {id(m.block) for m in shuffled.machines}
+    assert len(live) <= problem.n_agents
+
+
+def test_a_lone_agent_applies_every_verdict_in_one_round():
+    # any other agent needs verdict t before its edge costs let the root judge
+    # t+1; a lone root judges and moves all iterations in round 0, in order
+    domain, params, T = ContinuousDomain(-2.0, 3.0), SwarmParams(K=5, seed=8), 6
+    rec = Recorder()
+    Simulator(Problem(domains={"x1": domain}, constraints=[]), params, T,
+              on_event=rec).run_to_quiescence()
+    assert [(m.round, m.iteration) for m in rec.moved] == [(0, t) for t in range(T + 1)]
+    state = fresh_state(params.K, domain, params.seed, 0)
+    root = RootState(np.full(params.K, np.inf))
+    for t in range(T):
+        best = root_update(root, np.zeros(params.K), params, t)
+        apply_best(state, best, params, domain, keyed_uniforms(params.seed, 0, t, DRAW_R1, params.K),
+                   keyed_uniforms(params.seed, 0, t, DRAW_R2, params.K))
+        assert rec.moved[t + 1].position.tobytes() == state.position.tobytes()
 
 
 def test_force_init_validation(fig1):

@@ -1,6 +1,4 @@
 import math
-from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,10 +8,10 @@ from hypothesis import strategies as st
 from swarmdcop import ContinuousDomain, SwarmParams
 from swarmdcop.rng import DRAW_INIT, DRAW_R1, DRAW_R2, keyed_uniforms
 from swarmdcop.swarm import (
-    AgentSwarmState,
     BestInfo,
     RootState,
     apply_best,
+    domain_bounds,
     fresh_state,
     position_update,
     rho_update,
@@ -199,30 +197,43 @@ def test_apply_best_refreshes_components_from_judged_positions():
     assert state.position[1] == pytest.approx(state.gbest_component, abs=1.0)  # within rho
 
 
+def _assert_columns_equal(block, states):
+    for k, state in enumerate(states):
+        for f in ("position", "velocity", "pbest_component"):
+            assert getattr(block, f)[:, k].tobytes() == getattr(state, f).tobytes()
+        assert block.gbest_component[k] == state.gbest_component
+
+
+def test_fresh_state_of_a_block_equals_per_agent_states():
+    K, domains = 9, [ContinuousDomain(-10.0, 10.0), ContinuousDomain(0.5, 2.0)]
+    ordinals, bounds = [4, 1], domain_bounds(domains)
+    drawn = fresh_state(K, bounds, (1 << 64) - 1, np.array(ordinals))
+    _assert_columns_equal(drawn, [fresh_state(K, d, (1 << 64) - 1, k)
+                                  for k, d in zip(ordinals, domains)])
+    forced = [np.linspace(-10.0, 10.0, K), np.linspace(0.5, 2.0, K)]
+    _assert_columns_equal(fresh_state(K, bounds, 0, np.array(ordinals), np.stack(forced, axis=1)),
+                          [fresh_state(K, d, 0, k, f) for k, d, f in zip(ordinals, domains, forced)])
+
+
 @pytest.mark.parametrize("clamp", [False, True])
 def test_apply_best_on_a_block_equals_per_agent_calls(clamp):
     K, domains = 7, [ContinuousDomain(-10.0, 10.0), ContinuousDomain(0.5, 2.0),
                      ContinuousDomain(-1e3, -999.0)]
     params = SwarmParams(K=K, w=1.0, c1=4.0, c2=4.0, clamp_velocity=clamp, seed=3)  # clamps hit
     states = [fresh_state(K, d, 3, k) for k, d in enumerate(domains)]
+    bounds = domain_bounds(domains)
+    block = fresh_state(K, bounds, 3, np.arange(len(domains)))
     for t in range(4):
         best = _verdict(g_idx=t % K, g_fit=1.0, changed=True, t=t,
                         improved=keyed_uniforms(3, 10 + t, 0, DRAW_INIT, K) < 0.5)
         best.rho = 2.0**-t
         r = [(keyed_uniforms(3, k, t, DRAW_R1, K), keyed_uniforms(3, k, t, DRAW_R2, K))
              for k in range(len(domains))]
-        block = AgentSwarmState(*(np.stack([getattr(s, f) for s in states], axis=1)
-                                  for f in ("position", "velocity", "pbest_component")), None)
-        bounds = SimpleNamespace(**{f: np.array([getattr(d, f) for d in domains])
-                                    for f in ("lower", "upper", "width")})
-        column = replace(best, improved=best.improved[:, None])
-        apply_best(block, column, params, bounds,
+        apply_best(block, best, params, bounds,
                    np.stack([r1 for r1, _ in r], axis=1), np.stack([r2 for _, r2 in r], axis=1))
         for k, (state, domain) in enumerate(zip(states, domains)):
             apply_best(state, best, params, domain, *r[k])
-            for f in ("position", "velocity", "pbest_component"):
-                assert getattr(block, f)[:, k].tobytes() == getattr(state, f).tobytes()
-            assert block.gbest_component[k] == state.gbest_component
+        _assert_columns_equal(block, states)
 
 
 def test_velocity_clamp_limits_speed():
