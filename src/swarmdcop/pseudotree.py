@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .model import Problem
 
@@ -31,10 +32,15 @@ class PseudoTree:
     H: dict[str, list[str]]         # higher-priority neighbors, highest first
     L: dict[str, list[str]]         # lower-priority neighbors, highest first
     d: int                          # maximum depth
-    # the senders of each agent's fitness contributions in fold order: L's
-    # edge costs, then the aggregates of the children with nonempty L (so
-    # such a child is listed twice)
-    fitness_senders: dict[str, list[str]]
+    # each agent's fold slots, in order, keyed by (sender, is aggregate): L's
+    # edge costs, then the aggregates of the children with nonempty L (such
+    # a child sends both)
+    fitness_slots: dict[str, dict[tuple[str, bool], int]]
+
+    @cached_property
+    def fitness_senders(self) -> dict[str, list[str]]:
+        """The senders of each agent's fitness contributions, in fold order."""
+        return {agent: [sender for sender, _ in slots] for agent, slots in self.fitness_slots.items()}
 
     def priority_key(self, agent: str) -> tuple[int, str]:
         return (self.depth[agent], agent)
@@ -43,10 +49,10 @@ class PseudoTree:
         """Position in `agent`'s fold of `sender`'s edge cost or, if
         `aggregate`, of its aggregate. Raises ValueError for a sender that
         owes `agent` no such contribution."""
-        n_edges = len(self.L[agent])
-        if aggregate:
-            return self.fitness_senders[agent].index(sender, n_edges)
-        return self.fitness_senders[agent].index(sender, 0, n_edges)
+        slot = self.fitness_slots[agent].get((sender, aggregate))
+        if slot is None:
+            raise ValueError(f"{sender} owes {agent} no {'aggregate' if aggregate else 'edge cost'}")
+        return slot
 
 
 def build_bfs_pseudotree(problem: Problem) -> PseudoTree:
@@ -75,10 +81,11 @@ def build_bfs_pseudotree(problem: Problem) -> PseudoTree:
         higher[agent] = sorted((n for n in adjacency[agent] if key(n) < key(agent)), key=key)
         lower[agent] = sorted((n for n in adjacency[agent] if key(n) > key(agent)), key=key)
 
-    senders = {
-        agent: lower[agent] + [child for child in children[agent] if lower[child]]
-        for agent in problem.ids
-    }
+    slots: dict[str, dict[tuple[str, bool], int]] = {}
+    for agent in problem.ids:
+        senders = lower[agent] + [child for child in children[agent] if lower[child]]
+        n_edges = len(lower[agent])
+        slots[agent] = {(sender, slot >= n_edges): slot for slot, sender in enumerate(senders)}
     return PseudoTree(
         root=root,
         depth=depth,
@@ -87,7 +94,7 @@ def build_bfs_pseudotree(problem: Problem) -> PseudoTree:
         H=higher,
         L=lower,
         d=max(depth.values()),
-        fitness_senders=senders,
+        fitness_slots=slots,
     )
 
 
@@ -110,7 +117,7 @@ def render(tree: PseudoTree) -> str:
                 p=tree.parent.get(agent, "-"),
                 h=",".join(tree.H[agent]),
                 l=",".join(tree.L[agent]),
-                e=len(tree.fitness_senders[agent]),
+                e=len(tree.fitness_slots[agent]),
             )
         )
     return "\n".join(lines)

@@ -8,7 +8,7 @@ One machine per agent. Each iteration runs two phases over the pseudo-tree:
   they receive (edge costs from L members, aggregates from children) and
   forward the sum to their parent, so each edge is counted exactly once and
   the totals telescope to the root. Each sum folds its contributions in the
-  pseudo-tree's fixed slot order (`PseudoTree.fitness_senders`), not in
+  pseudo-tree's fixed slot order (`PseudoTree.fitness_slots`), not in
   arrival order, so every fitness vector is bit-identical under any
   delivery schedule and equals the centralized oracle's.
 * Update: the root judges the aggregated fitness vector and steps the one
@@ -17,17 +17,22 @@ One machine per agent. Each iteration runs two phases over the pseudo-tree:
   velocity randomness from keyed streams.
 
 Delivery is synchronous: an envelope sent in round r arrives in round r+1,
-and agents fire in ordinal order within a round. Runs are bit-reproducible
-from (problem, params).
+and only the agents with mail fire, in ordinal order whatever the order of
+the queue. Runs are bit-reproducible from (problem, params).
 
 Each round is one superstep. Every agent with mail fires: it absorbs its
-inbox and runs the protocol, queuing its moves and edge costs. Then the
+inbox and runs the protocol, queuing its moves and edge costs. Absorbing,
+folding and routing an envelope are a few dict lookups each, with no scan
+over agents, neighbors or slots. Then the
 round's numeric work runs batched: the movers under each verdict step a
 block of agents at a time, one key grid per draw and one `apply_best` per
 block (`swarm.move_block`, the step the centralized oracle takes too), and
 long runs of edge costs are evaluated with one gathered `evaluate_edge`
 call. Last, each agent's records and envelopes go out, in firing order,
-carrying the arrays the batch computed. Every element is computed as the
+carrying the arrays the batch computed; the round's sends are counted once,
+and then the root's verdicts are written to the trace. The root judges only
+in a round in which it fires alone, so each trace row counts the envelopes
+sent up to and including the root's. Every element is computed as the
 per-agent call computes it, and the fixed fold order makes the order of the
 work within a round irrelevant, so batching changes no result.
 
@@ -39,8 +44,10 @@ runtime keeps no record beyond the trace and its counters.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from types import SimpleNamespace
 from typing import Callable
 
@@ -66,6 +73,12 @@ class Kind(Enum):
     UPDATE = "UPDATE"
 
 
+# the members bound to module names: on CPython 3.11 reading `Kind.UPDATE`
+# takes ten times as long as reading a global, and the hot path tests kinds
+# once per envelope
+_VALUE, _EDGE_FITNESS, _AGG_FITNESS, _UPDATE = Kind
+
+
 @dataclass(slots=True)
 class Envelope:
     """One message. `iteration` tags the positions (VALUE/UPDATE) or the
@@ -83,7 +96,7 @@ class Envelope:
 
 def envelope_scalars(env: Envelope, K: int) -> int:
     """Payload size in scalars: K per vector; UPDATE = positions + verdict."""
-    if env.kind is Kind.UPDATE:
+    if env.kind is _UPDATE:
         return 2 * K + 4  # K positions, K improved flags, gbest index/value/changed, rho
     return K
 
@@ -155,17 +168,6 @@ class Judged:
 
 
 @dataclass(slots=True)
-class FitnessFold:
-    """An aggregating agent's fitness sum of iteration `fitness_next` in the
-    making: the sum of slots 0 .. folded-1, and the contributions that
-    arrived ahead of their slot's turn."""
-
-    total: np.ndarray | None = None
-    folded: int = 0
-    early: dict[int, np.ndarray] = field(default_factory=dict)
-
-
-@dataclass(slots=True)
 class RoundReport:
     round: int
     delivered: int
@@ -180,14 +182,14 @@ class AgentMachine:
     # slots: there is one instance per agent, and on CPython 3.11 an instance
     # with more than 26 attributes carries a 1.6 KB attribute dict, not 0.3 KB
     __slots__ = ("id", "ordinal", "domain", "params", "max_iterations", "is_root", "H", "L",
-                 "parent", "tree", "senders", "constraint_with", "on_event", "block", "column",
+                 "parent", "slots", "constraint_with", "on_event", "block", "column",
                  "position", "moves", "edge_costs", "moved", "initialized",
-                 "own_iter", "edge_done_iter", "fitness_next", "values_buf", "best_buf", "fold",
-                 "root_state", "completed")
+                 "own_iter", "edge_done_iter", "fitness_next", "values_buf", "best_buf",
+                 "fold_total", "folded", "early", "root_state", "completed")
 
     def __init__(self, agent_id: str, problem: Problem, tree: PseudoTree,
                  params: SwarmParams, max_iterations: int,
-                 on_event, moves: list, edge_costs: list[Envelope]):
+                 on_event, moves: list, edge_costs: list):
         self.id = agent_id
         self.ordinal = problem.ordinals[agent_id]
         self.domain = problem.domains[agent_id]
@@ -197,8 +199,7 @@ class AgentMachine:
         self.H = tree.H[agent_id]
         self.L = tree.L[agent_id]
         self.parent = tree.parent.get(agent_id)
-        self.tree = tree
-        self.senders = tree.fitness_senders[agent_id]
+        self.slots = tree.fitness_slots[agent_id]
         self.constraint_with = {nbr: problem.constraint_between(agent_id, nbr) for nbr in self.H}
         self.on_event = on_event
 
@@ -210,8 +211,9 @@ class AgentMachine:
         self.position: np.ndarray | None = None
         # the round's numeric work, queues shared by all agents and worked off
         # by the simulator: (agent, verdict, its UPDATE envelopes, its Moved
-        # record) per move and the envelope of each edge cost, whose arrays it
-        # fills in; and, if observed, this agent's Moved records to emit
+        # record) per move and (agent, held positions of H, its EDGE_FITNESS
+        # envelopes) per iteration costed, whose arrays it fills in; and, if
+        # observed, this agent's Moved records to emit
         self.moves = moves
         self.edge_costs = edge_costs
         self.moved: list[Moved] | None = [] if on_event is not None else None
@@ -219,12 +221,18 @@ class AgentMachine:
         self.own_iter = 0               # iteration of the current positions
         self.edge_done_iter = -1
         self.fitness_next = 0           # next iteration to aggregate / judge
-        self.values_buf: dict[tuple[int, str], np.ndarray] = {}
+        self.values_buf: dict[int, dict[str, np.ndarray]] = {}  # iteration -> H member -> positions
         self.best_buf: dict[int, BestInfo] = {}
-        self.fold: FitnessFold | None = None  # None until iteration fitness_next's first contribution
+        # the fold of iteration fitness_next: the sum of slots 0 .. folded-1
+        # (None before the first) and the contributions that arrived ahead of
+        # their slot's turn (None until the first does)
+        self.fold_total: np.ndarray | None = None
+        self.folded = 0
+        self.early: dict[int, np.ndarray] | None = None
         # root-only running bests, rho controller and completed verdicts
         self.root_state = RootState(np.full(params.K, np.inf)) if self.is_root else None
-        self.completed: list[tuple[int, BestInfo, np.ndarray]] = []
+        self.completed: list[tuple[int, BestInfo, np.ndarray]] | None = (
+            [] if self.is_root else None)
 
     @property
     def gbest_index(self) -> int:
@@ -239,54 +247,63 @@ class AgentMachine:
     def done(self) -> bool:
         return self.own_iter >= self.max_iterations
 
-    def _absorb(self, env: Envelope):
-        if env.kind in (Kind.VALUE, Kind.UPDATE):
-            if env.iteration < self.max_iterations:  # the final positions are never evaluated
-                self.values_buf[(env.iteration, env.sender)] = env.values
-            if env.best is not None and env.best.iteration >= self.own_iter:
-                self.best_buf[env.best.iteration] = env.best
-        elif env.kind in (Kind.EDGE_FITNESS, Kind.AGG_FITNESS):
-            self._fold(env)
-        else:
-            raise AssertionError(f"unexpected envelope kind {env.kind}")
-
     def fire(self, round_no: int, inbox: list[Envelope]) -> list[Envelope]:
         """Absorb `inbox` and run the protocol as far as it goes; return the
-        envelopes sent, whose arrays the simulator fills in this round."""
+        envelopes sent, whose arrays the simulator fills in this round.
+        Raises on positions from outside H and on a fitness contribution that
+        is late, duplicate or not owed (see `_fold`)."""
         out: list[Envelope] = []
         if not self.initialized:
             self.initialized = True
             if self.on_event is not None:
                 self.moved.append(Moved(round_no, self.id, 0, self.position))
             for j in self.L:
-                out.append(Envelope(Kind.VALUE, 0, self.id, j, values=self.position))
+                out.append(Envelope(_VALUE, 0, self.id, j, self.position))
         for env in inbox:
-            self._absorb(env)
+            kind = env.kind
+            if kind is _VALUE or kind is _UPDATE:
+                sender, t = env.sender, env.iteration
+                if sender not in self.constraint_with:
+                    raise RuntimeError(
+                        f"{self.id}: {kind.value} from {sender} for iteration {t}, "
+                        f"but {sender} is not in {self.id}'s H")
+                if t < self.max_iterations:  # the final positions are never evaluated
+                    held = self.values_buf.get(t)
+                    if held is None:
+                        self.values_buf[t] = {sender: env.values}
+                    else:
+                        held[sender] = env.values
+                best = env.best
+                if best is not None and best.iteration >= self.own_iter:
+                    self.best_buf[best.iteration] = best
+            else:
+                self._fold(env)
 
-        progress = True
-        while progress:
-            progress = False
-            best = self.best_buf.pop(self.own_iter, None)
+        # only a verdict, judged or applied, can enable more work: sending
+        # edge costs or an aggregate changes nothing this agent waits on
+        n_slots = len(self.slots)
+        while True:
+            own_iter = self.own_iter
+            best = self.best_buf.pop(own_iter, None)
             if best is not None:
                 self._apply_update(best, round_no, out)
-                progress = True
                 continue
-            if (self.H and not self.done and self.edge_done_iter < self.own_iter
-                    and all((self.own_iter, h) in self.values_buf for h in self.H)):
-                self._send_edge_costs(out)
-                progress = True
+            # ready once this iteration's positions from all of H are held
+            if self.edge_done_iter < own_iter < self.max_iterations:
+                held = self.values_buf.get(own_iter)
+                if held is not None and len(held) == len(self.H):
+                    self._send_edge_costs(held, out)
             if self.is_root:
                 t = self.fitness_next
-                if t == self.own_iter and not self.done and self._folded() == len(self.senders):
+                if t == own_iter and t < self.max_iterations and self.folded == n_slots:
                     self._judge(t)
-                    progress = True
-            elif self.L and self._folded() == len(self.senders):
+                    continue
+            elif self.L and self.folded == n_slots:
                 t = self.fitness_next
-                out.append(Envelope(Kind.AGG_FITNESS, t, self.id, self.parent,
-                                    fitness=self._take_sum()))
+                out.append(Envelope(_AGG_FITNESS, t, self.id, self.parent, None,
+                                    self._take_sum()))
                 self.fitness_next = t + 1
-                progress = True
-        return out
+            return out
 
     def _fold(self, env: Envelope):
         """Fold one fitness contribution in slot order, holding it if an
@@ -297,72 +314,59 @@ class AgentMachine:
             raise RuntimeError(
                 f"{self.id}: {env.kind.value} from {env.sender} for iteration {t} arrived "
                 f"while folding iteration {self.fitness_next}")
-        try:
-            slot = self.tree.fitness_slot(self.id, env.sender, env.kind is Kind.AGG_FITNESS)
-        except ValueError:
+        slot = self.slots.get((env.sender, env.kind is _AGG_FITNESS))
+        if slot is None:
             raise RuntimeError(
                 f"{self.id}: {env.kind.value} from {env.sender} for iteration {t}, "
-                f"which {env.sender} does not owe {self.id}") from None
-        fold = self.fold
-        if fold is None:
-            fold = self.fold = FitnessFold()
-        if slot != fold.folded:
-            if slot < fold.folded or slot in fold.early:
+                f"which {env.sender} does not owe {self.id}")
+        folded, early = self.folded, self.early
+        if slot != folded:
+            if slot < folded or early is not None and slot in early:
                 raise RuntimeError(
                     f"{self.id}: duplicate {env.kind.value} from {env.sender} for iteration {t}")
-            fold.early[slot] = env.fitness
+            if early is None:
+                early = self.early = {}
+            early[slot] = env.fitness
             return
         # out of place: envelopes stay immutable records
-        fold.total = env.fitness if fold.total is None else fold.total + env.fitness
-        fold.folded += 1
-        while fold.folded in fold.early:
-            fold.total = fold.total + fold.early.pop(fold.folded)
-            fold.folded += 1
-
-    def _folded(self) -> int:
-        return 0 if self.fold is None else self.fold.folded
+        total = env.fitness if folded == 0 else self.fold_total + env.fitness
+        folded += 1
+        if early:
+            while folded in early:
+                total = total + early.pop(folded)
+                folded += 1
+        self.fold_total, self.folded = total, folded
 
     def _take_sum(self) -> np.ndarray:
-        total = self.fold.total
-        self.fold = None
+        total, self.fold_total, self.folded = self.fold_total, None, 0
         return total
 
     def _apply_update(self, best: BestInfo, round_no: int, out: list[Envelope]):
         """Send the move under `best`; the simulator makes it this round and
         fills the moved positions into the envelopes and the record."""
-        self.own_iter = best.iteration + 1
+        self.own_iter = t = best.iteration + 1
         moved = None
         if self.on_event is not None:
-            moved = Moved(round_no, self.id, self.own_iter, None)
+            moved = Moved(round_no, self.id, t, None)
             self.moved.append(moved)
         # the final verdict still floods down so every agent consumes it; the
         # `done` guard on the evaluation phase stops the cascade afterwards
-        updates = [Envelope(Kind.UPDATE, self.own_iter, self.id, j, best=best) for j in self.L]
-        out.extend(updates)
+        updates = [Envelope(_UPDATE, t, self.id, j, None, None, best) for j in self.L]
+        out += updates
         self.moves.append((self, best, updates, moved))
 
-    def _send_edge_costs(self, out: list[Envelope]):
-        """Send this iteration's edge costs; the simulator evaluates them this
-        round (see `edge_operands`)."""
-        for h in self.H:
-            env = Envelope(Kind.EDGE_FITNESS, self.own_iter, self.id, h)
-            out.append(env)
-            self.edge_costs.append(env)
-        self.edge_done_iter = self.own_iter
-
-    def edge_operands(self, env: Envelope) -> tuple[QuadraticCost, np.ndarray, np.ndarray]:
-        """The cost and the (xi, xj) operands of the edge cost `env` carries,
-        on this agent's latest positions: those of its moves this round, if
-        any, which is the iteration the envelope is tagged with."""
-        h = env.recipient
-        con = self.constraint_with[h]
-        h_values = self.values_buf.pop((env.iteration, h))
-        if con.i == h:
-            return con.cost, h_values, self.position
-        return con.cost, self.position, h_values
+    def _send_edge_costs(self, held: dict[str, np.ndarray], out: list[Envelope]):
+        """Send this iteration's edge costs on `held`, the positions of H; the
+        simulator evaluates them this round (see `Simulator._evaluate_edges`)."""
+        t = self.own_iter
+        del self.values_buf[t]
+        sent = [Envelope(_EDGE_FITNESS, t, self.id, h) for h in self.H]
+        out += sent
+        self.edge_costs.append((self, held, sent))
+        self.edge_done_iter = t
 
     def _judge(self, t: int):
-        if self.senders:
+        if self.slots:
             fit = self._take_sum()
         else:
             fit = np.zeros(self.params.K)  # isolated root: empty objective
@@ -374,11 +378,12 @@ class AgentMachine:
     def describe_block(self) -> str:
         waits = []
         if self.H and self.edge_done_iter < self.own_iter:
-            missing = [h for h in self.H if (self.own_iter, h) not in self.values_buf]
+            held = self.values_buf.get(self.own_iter, {})
+            missing = [h for h in self.H if h not in held]
             waits.append(f"values({self.own_iter}) from {missing}")
         if self.is_root or self.L:
             t = self.fitness_next
-            waits.append(f"fitness({t}): {self._folded()}/{len(self.senders)} folded")
+            waits.append(f"fitness({t}): {self.folded}/{len(self.slots)} folded")
         if not waits:
             waits.append(f"verdict({self.own_iter})")
         return f"{self.id}@iter {self.own_iter} awaiting " + "; ".join(waits)
@@ -407,7 +412,7 @@ class Simulator:
 
         forced = check_force_init(force_init, problem.domains, params.K)
         self._moves: list[tuple[AgentMachine, BestInfo, list[Envelope], Moved | None]] = []
-        self._edge_costs: list[Envelope] = []
+        self._edge_costs: list[tuple[AgentMachine, dict[str, np.ndarray], list[Envelope]]] = []
         self.machines = [
             AgentMachine(agent_id, problem, self.tree, params, iterations,
                          on_event, self._moves, self._edge_costs)
@@ -425,8 +430,7 @@ class Simulator:
                 self._hold(run, fresh_block(
                     params.K, params.seed, [m.ordinal for m in run], [m.domain for m in run],
                     None if force_init is None else [forced[m.id] for m in run]))
-        self._by_id = {m.id: m for m in self.machines}
-        self.root = self._by_id[self.tree.root]
+        self.root = self.machines[problem.ordinals[self.tree.root]]
         self.round = 0
         self.queue: list[Envelope] = []
         self.cum_envelopes = 0
@@ -434,13 +438,22 @@ class Simulator:
         self.trace = AnytimeTrace()
         self._run_round(0, [(machine, []) for machine in self.machines])
 
-    def _register_sends(self, envs: list[Envelope]):
-        for env in envs:
-            self.cum_envelopes += 1
-            self.cum_scalars += envelope_scalars(env, self.params.K)
-            if self.on_event is not None:
-                self.on_event(env)
-        self.queue.extend(envs)
+    def _register_sends(self, fired: list[tuple[AgentMachine, list[Envelope]]],
+                        sends: list[list[Envelope]]):
+        """Count and queue the round's sends; if observed, emit each fired
+        machine's Moved records, then its envelopes."""
+        if self.on_event is not None:
+            for (machine, _), out in zip(fired, sends):
+                for moved in machine.moved:
+                    self.on_event(moved)
+                machine.moved.clear()
+                for env in out:
+                    self.on_event(env)
+        envs = list(chain.from_iterable(sends))
+        K = self.params.K
+        self.cum_envelopes += len(envs)
+        self.cum_scalars += sum([envelope_scalars(env, K) for env in envs])
+        self.queue += envs
 
     def _drain_root(self, round_no: int):
         for t, best, fit in self.root.completed:
@@ -470,10 +483,12 @@ class Simulator:
         """Deliver everything queued last round, then fire the recipients."""
         self.round += 1
         deliveries, self.queue = self.queue, []
-        inboxes: dict[str, list[Envelope]] = {}
+        ordinals = self.problem.ordinals
+        inboxes: defaultdict[int, list[Envelope]] = defaultdict(list)
         for env in deliveries:
-            inboxes.setdefault(env.recipient, []).append(env)
-        fired = [(m, inboxes[m.id]) for m in self.machines if m.id in inboxes]
+            inboxes[ordinals[env.recipient]].append(env)
+        # ordinal order, not the order of the queue
+        fired = [(self.machines[o], inboxes[o]) for o in sorted(inboxes)]
         sent_before = self.cum_envelopes
         self._run_round(self.round, fired)
         report = RoundReport(self.round, len(deliveries), len(fired),
@@ -485,19 +500,18 @@ class Simulator:
     def _run_round(self, round_no: int, fired: list[tuple[AgentMachine, list[Envelope]]]):
         """One superstep: every agent with mail fires in ordinal order, the
         round's moves and edge costs run batched, then each agent's records
-        and envelopes go out in firing order."""
+        and envelopes go out in firing order, and last the root's verdicts.
+        The root fires alone in a round in which it judges: verdict t needs
+        every envelope of iteration t delivered, and none of t+1 exists
+        before it. So each trace row counts the root's sends and no other
+        agent's of that round."""
         sends = [machine.fire(round_no, inbox) for machine, inbox in fired]
         if self._moves:
             self._move()
         if self._edge_costs:
             self._evaluate_edges()
-        for (machine, _), out in zip(fired, sends):
-            if self.on_event is not None:
-                for moved in machine.moved:
-                    self.on_event(moved)
-                machine.moved.clear()
-            self._register_sends(out)
-            self._drain_root(round_no)
+        self._register_sends(fired, sends)
+        self._drain_root(round_no)
 
     def _move(self):
         """Make the round's moves. The movers under each verdict, in ordinal
@@ -554,24 +568,42 @@ class Simulator:
     def _evaluate_edges(self):
         """Cost the round's edge-cost sends, in firing order and in runs of a
         block of rows: a run of at least `GATHERED_EDGES` edges with one
-        `evaluate_edge` call on gathered operands, a shorter run edge by edge."""
+        `evaluate_edge` call on gathered operands, a shorter run edge by edge.
+        An edge's operands, in its constraint's scope order, are the
+        recipient's held positions and the sender's latest ones: those of its
+        moves this round if any, the iteration the envelope is tagged with."""
+        sent: list[Envelope] = []
+        costs: list[QuadraticCost] = []
+        xi: list[np.ndarray] = []
+        xj: list[np.ndarray] = []
+        for machine, held, envs in self._edge_costs:
+            for env in envs:
+                h = env.recipient
+                con = machine.constraint_with[h]
+                costs.append(con.cost)
+                if con.i == h:
+                    xi.append(held[h])
+                    xj.append(machine.position)
+                else:
+                    xi.append(machine.position)
+                    xj.append(held[h])
+            sent += envs
+        self._edge_costs.clear()
         rows = block_rows(self.params.K)
-        for lo in range(0, len(self._edge_costs), rows):
-            run = self._edge_costs[lo:lo + rows]
-            operands = [self._by_id[env.sender].edge_operands(env) for env in run]
+        for lo in range(0, len(sent), rows):
+            hi = lo + rows
+            run = sent[lo:hi]
             if len(run) < GATHERED_EDGES:
-                for env, (cost, xi, xj) in zip(run, operands):
-                    env.fitness = evaluate_edge(cost, xi, xj)
+                for env, cost, a, b in zip(run, costs[lo:hi], xi[lo:hi], xj[lo:hi]):
+                    env.fitness = evaluate_edge(cost, a, b)
                 continue
             # one QuadraticCost per row, as (E_b, 1) coefficient columns
-            cost = SimpleNamespace(a=np.array([[c.a] for c, _, _ in operands]),
-                                   b=np.array([[c.b] for c, _, _ in operands]),
-                                   c=np.array([[c.c] for c, _, _ in operands]))
-            costs = evaluate_edge(cost, np.array([xi for _, xi, _ in operands]),
-                                  np.array([xj for _, _, xj in operands]))
-            for e, env in enumerate(run):
-                env.fitness = costs[e]
-        self._edge_costs.clear()
+            cost = SimpleNamespace(a=np.array([c.a for c in costs[lo:hi]])[:, None],
+                                   b=np.array([c.b for c in costs[lo:hi]])[:, None],
+                                   c=np.array([c.c for c in costs[lo:hi]])[:, None])
+            values = evaluate_edge(cost, np.array(xi[lo:hi]), np.array(xj[lo:hi]))
+            for env, row in zip(run, values):
+                env.fitness = row
 
     def run_to_quiescence(self) -> AnytimeTrace:
         while not self.quiescent:

@@ -28,6 +28,8 @@ def test_worked_example_tree(fig1):
     # with a nonempty L); x3 folds just x4's edge cost
     assert tree.fitness_senders == {"x1": ["x2", "x3", "x4", "x3"], "x2": [], "x3": ["x4"],
                                     "x4": []}
+    assert tree.fitness_slots["x1"] == {("x2", False): 0, ("x3", False): 1, ("x4", False): 2,
+                                        ("x3", True): 3}
     assert tree.fitness_slot("x1", "x3", aggregate=False) == 1
     assert tree.fitness_slot("x1", "x3", aggregate=True) == 3
     with pytest.raises(ValueError):

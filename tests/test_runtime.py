@@ -21,8 +21,8 @@ from swarmdcop import (
     swarm,
 )
 from swarmdcop.rng import DRAW_R1, DRAW_R2, SplitMix64, keyed_uniforms
-from swarmdcop.runtime import (Envelope, Kind, Moved, Simulator, envelope_scalars,
-                               parse_trace_csv)
+from swarmdcop.runtime import (AgentMachine, Envelope, Judged, Kind, Moved, Simulator,
+                               envelope_scalars, parse_trace_csv)
 from swarmdcop.swarm import RootState, apply_best, fresh_state, root_update
 
 from conftest import FIG1_FITNESS_P1, FIG1_FITNESS_P2, Recorder
@@ -201,7 +201,38 @@ def test_quiescence_leaves_no_pending_state():
             assert machine.done
             assert not machine.values_buf
             assert not machine.best_buf
-            assert machine.fold is None
+            assert (machine.fold_total, machine.folded) == (None, 0)
+            assert not machine.early
+
+
+def test_agent_machines_carry_no_attribute_dict(fig1):
+    # one machine per agent: an attribute dict raised peak RSS by 9% at n=1600
+    sim = Simulator(fig1, SwarmParams(K=2, seed=0), 1)
+    assert not any(hasattr(machine, "__dict__") for machine in sim.machines)
+
+
+def test_only_recipients_fire_in_ordinal_order(monkeypatch):
+    # the queue is reversed before every round: firing follows the ordinals,
+    # not the order in which envelopes were queued
+    problem, params, T = generate(GenSpec("scale_free", 30, 2, m=2)), SwarmParams(K=4, seed=5), 10
+    expected = Simulator(problem, params, T).run_to_quiescence().to_csv()
+    fired = []
+    fire = AgentMachine.fire
+
+    def spy(machine, round_no, inbox):
+        fired.append(machine.ordinal)
+        return fire(machine, round_no, inbox)
+
+    monkeypatch.setattr(AgentMachine, "fire", spy)
+    sim = Simulator(problem, params, T)
+    while not sim.quiescent:
+        sim.queue.reverse()
+        recipients = sorted({problem.ordinals[env.recipient] for env in sim.queue})
+        fired.clear()
+        report = sim.step()
+        assert fired == recipients
+        assert report.fired == len(recipients)
+    assert sim.trace.to_csv() == expected
 
 
 def test_best_assignment_costs_the_final_gbest(fig1, fig1_force):
@@ -295,6 +326,15 @@ def test_late_fitness_envelope_raises(fig1, fig1_force):
         sim.run_to_quiescence()
 
 
+def test_positions_from_outside_h_raise(fig1, fig1_force):
+    sim = _forced_sim(fig1, fig1_force, iterations=3)
+    # x4 is in x3's L: it sends x3 edge costs, never positions
+    sim.queue.append(Envelope(Kind.VALUE, 0, "x4", "x3", values=np.zeros(2)))
+    match = r"x3: VALUE from x4 for iteration 0, but x4 is not in x3's H"
+    with pytest.raises(RuntimeError, match=match):
+        sim.run_to_quiescence()
+
+
 def test_unowed_fitness_envelope_raises(fig1, fig1_force):
     sim = _forced_sim(fig1, fig1_force, iterations=3)
     env = _fitness_envelope(sim, "x1")
@@ -336,6 +376,37 @@ def test_records_are_never_written_after_they_are_emitted(schedule):
     assert len(snapshots.taken) > sim.cum_envelopes
     for array, taken in snapshots.taken:
         assert array.tobytes() == taken
+
+
+def test_trace_counters_count_the_envelopes_sent_before_each_verdict():
+    # the root fires alone in a round in which it judges, so a row that
+    # counts the whole round's sends counts the root's and no one else's
+    problem, params = generate(GenSpec("scale_free", 40, 6, m=3)), SwarmParams(K=6, seed=2)
+    events = []
+    sim = Simulator(problem, params, 15, on_event=events.append)
+    rows = iter(_run_shuffled(sim, 4).rows)
+    envelopes = scalars = 0
+    senders = set()  # of the records emitted so far this round
+    judged = False   # this round: its verdicts are its last records
+    for event in events:
+        if isinstance(event, Envelope):
+            assert not judged
+            envelopes += 1
+            scalars += envelope_scalars(event, params.K)
+            senders.add(event.sender)
+        elif isinstance(event, Moved):
+            assert not judged
+            senders.add(event.agent)
+        elif isinstance(event, Judged):
+            row = next(rows)
+            assert row.iteration == event.best.iteration + 1
+            assert (row.envelopes, row.scalars) == (envelopes, scalars)
+            assert senders == {sim.root.id}
+            judged = True
+        else:  # the round's RoundReport
+            senders.clear()
+            judged = False
+    assert next(rows, None) is None
 
 
 def _components(sim):
