@@ -13,7 +13,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from types import SimpleNamespace
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 class ProblemFormatError(ValueError):
@@ -76,6 +79,15 @@ def evaluate_edge(cost: QuadraticCost, xi, xj):
     vectorized evaluation round identically per element.
     """
     return cost.a * xi * xi + cost.b * xi * xj + cost.c * xj * xj
+
+
+def cost_columns(costs: Sequence[QuadraticCost]) -> SimpleNamespace:
+    """E edge costs as one cost with (E, 1) coefficient columns: `evaluate_edge`
+    on it and (E, K) operands costs edge e in row e, each element rounded as
+    the per-edge call rounds it."""
+    return SimpleNamespace(a=np.array([c.a for c in costs])[:, None],
+                           b=np.array([c.b for c in costs])[:, None],
+                           c=np.array([c.c for c in costs])[:, None])
 
 
 def is_connected(nodes: Iterable, edges: Iterable[tuple]) -> bool:

@@ -7,7 +7,7 @@ moves with `swarm.move_block`, the step the runtime's agents take too: one
 key grid per draw and one `apply_best` call on particle-major (K, rows)
 arrays. A block of edges costs one `evaluate_edge` call on operands gathered
 from the positions. Every fitness sum is the pseudo-tree's fold
-(`PseudoTree.fitness_senders`), the one summation order the runtime uses
+(`PseudoTree.fitness_slots`), the one summation order the runtime uses
 too. Every operation is the per-agent one, elementwise in the same order,
 so the gbest trace equals the distributed runtime's bit for bit, over whole
 runs. `grid_search` exhaustively enumerates a rectangular grid and is the
@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from types import SimpleNamespace
 
 import numpy as np
 
-from .model import Problem, evaluate_edge, global_cost
+from .model import Problem, cost_columns, evaluate_edge, global_cost
 from .pseudotree import build_bfs_pseudotree
 from .runtime import AnytimeTrace, TraceRow
 from .swarm import (RootState, SwarmParams, block_rows, check_force_init, fresh_block,
@@ -46,7 +45,8 @@ def _fold_plan(problem: Problem, rows: int):
     of one level's children in child slot j, deepest level first.
     """
     tree = build_bfs_pseudotree(problem)
-    children = {a: tree.fitness_senders[a][len(tree.L[a]):] for a in problem.ids if tree.L[a]}
+    children = {a: [sender for sender, aggregate in tree.fitness_slots[a] if aggregate]
+                for a in problem.ids if tree.L[a]}
     order = sorted(children, key=lambda a: (-tree.depth[a], -len(children[a]), -len(tree.L[a])))
     row = {a: r for r, a in enumerate(order)}
 
@@ -57,16 +57,13 @@ def _fold_plan(problem: Problem, rows: int):
     edge_blocks = []
     for lo in range(0, len(edges), rows):
         block = edges[lo:lo + rows]
-        # one QuadraticCost per row, as (E_b, 1) coefficient columns
-        cost = SimpleNamespace(a=np.array([[con.cost.a] for _, con, _ in block]),
-                               b=np.array([[con.cost.b] for _, con, _ in block]),
-                               c=np.array([[con.cost.c] for _, con, _ in block]))
         # runs of edges into consecutive rows, all in L slot 0 or none
         starts = [e for e in range(len(block)) if e == 0 or block[e][0] != block[e - 1][0] + 1
                   or block[e][2] != block[e - 1][2]]
         folds = [(slice(s, e), slice(block[s][0], block[s][0] + e - s), block[s][2])
                  for s, e in zip(starts, starts[1:] + [len(block)])]
-        edge_blocks.append((cost, np.array([problem.ordinals[con.i] for _, con, _ in block]),
+        edge_blocks.append((cost_columns([con.cost for _, con, _ in block]),
+                            np.array([problem.ordinals[con.i] for _, con, _ in block]),
                             np.array([problem.ordinals[con.j] for _, con, _ in block]), folds))
 
     child_folds = []

@@ -11,14 +11,15 @@ distributed runtime and the centralized oracle alike. An agent folds its
 contributions in slot order, starting from the first one: the edge costs of
 its L members in L order, then the aggregates of its children with nonempty
 L in BFS order. So the root's fitness vector is bit-identical whatever order
-the contributions arrive in.
+the contributions arrive in. `fitness_slots` is the one map of these slots:
+per agent, (sender, is aggregate) -> slot, in slot order; a sender missing
+from it owes the agent no such contribution.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 from .model import Problem
 
@@ -37,22 +38,8 @@ class PseudoTree:
     # a child sends both)
     fitness_slots: dict[str, dict[tuple[str, bool], int]]
 
-    @cached_property
-    def fitness_senders(self) -> dict[str, list[str]]:
-        """The senders of each agent's fitness contributions, in fold order."""
-        return {agent: [sender for sender, _ in slots] for agent, slots in self.fitness_slots.items()}
-
     def priority_key(self, agent: str) -> tuple[int, str]:
         return (self.depth[agent], agent)
-
-    def fitness_slot(self, agent: str, sender: str, aggregate: bool) -> int:
-        """Position in `agent`'s fold of `sender`'s edge cost or, if
-        `aggregate`, of its aggregate. Raises ValueError for a sender that
-        owes `agent` no such contribution."""
-        slot = self.fitness_slots[agent].get((sender, aggregate))
-        if slot is None:
-            raise ValueError(f"{sender} owes {agent} no {'aggregate' if aggregate else 'edge cost'}")
-        return slot
 
 
 def build_bfs_pseudotree(problem: Problem) -> PseudoTree:
@@ -72,30 +59,18 @@ def build_bfs_pseudotree(problem: Problem) -> PseudoTree:
                 children[current].append(nbr)
                 queue.append(nbr)
 
-    def key(agent: str) -> tuple[int, str]:
-        return (depth[agent], agent)
-
-    higher: dict[str, list[str]] = {}
-    lower: dict[str, list[str]] = {}
+    tree = PseudoTree(root=root, depth=depth, parent=parent, children=children, H={}, L={},
+                      d=max(depth.values()), fitness_slots={})
     for agent in problem.ids:
-        higher[agent] = sorted((n for n in adjacency[agent] if key(n) < key(agent)), key=key)
-        lower[agent] = sorted((n for n in adjacency[agent] if key(n) > key(agent)), key=key)
-
-    slots: dict[str, dict[tuple[str, bool], int]] = {}
+        ranked = sorted(adjacency[agent] + [agent], key=tree.priority_key)
+        at = ranked.index(agent)
+        tree.H[agent], tree.L[agent] = ranked[:at], ranked[at + 1:]
     for agent in problem.ids:
-        senders = lower[agent] + [child for child in children[agent] if lower[child]]
-        n_edges = len(lower[agent])
-        slots[agent] = {(sender, slot >= n_edges): slot for slot, sender in enumerate(senders)}
-    return PseudoTree(
-        root=root,
-        depth=depth,
-        parent=parent,
-        children=children,
-        H=higher,
-        L=lower,
-        d=max(depth.values()),
-        fitness_slots=slots,
-    )
+        lower = tree.L[agent]
+        senders = lower + [child for child in children[agent] if tree.L[child]]
+        tree.fitness_slots[agent] = {(sender, slot >= len(lower)): slot
+                                     for slot, sender in enumerate(senders)}
+    return tree
 
 
 def priority_less(tree: PseudoTree, i: str, j: str) -> bool:

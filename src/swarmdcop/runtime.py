@@ -16,6 +16,15 @@ One machine per agent. Each iteration runs two phases over the pseudo-tree:
   Every agent applies the same verdict with the same rule and draws its
   velocity randomness from keyed streams.
 
+An agent keeps only live state. It applies a verdict when the first UPDATE
+carrying it arrives: verdict t is judged only after the agent's edge costs
+of t, so an UPDATE carries the agent's next verdict or one it has applied.
+It holds the positions of the iteration it is at, one vector per H member,
+until its edge costs go out: an H member reaches t+1 only under verdict t,
+which needed the agent's edge costs of t. Any other VALUE or UPDATE raises,
+naming the agent, kind, sender and iteration, as a late, duplicate or unowed
+fitness contribution does.
+
 Delivery is synchronous: an envelope sent in round r arrives in round r+1,
 and only the agents with mail fire, in ordinal order whatever the order of
 the queue. Runs are bit-reproducible from (problem, params).
@@ -47,13 +56,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
-from types import SimpleNamespace
+from itertools import chain, groupby
 from typing import Callable
 
 import numpy as np
 
-from .model import Problem, QuadraticCost, evaluate_edge
+from .model import Problem, QuadraticCost, cost_columns, evaluate_edge
 from .pseudotree import PseudoTree, build_bfs_pseudotree
 from .swarm import (AgentSwarmState, BestInfo, Block, RootState, SwarmParams, block_rows,
                     check_force_init, domain_bounds, fresh_block, move_block, root_update)
@@ -184,8 +192,8 @@ class AgentMachine:
     __slots__ = ("id", "ordinal", "domain", "params", "max_iterations", "is_root", "H", "L",
                  "parent", "slots", "constraint_with", "on_event", "block", "column",
                  "position", "moves", "edge_costs", "moved", "initialized",
-                 "own_iter", "edge_done_iter", "fitness_next", "values_buf", "best_buf",
-                 "fold_total", "folded", "early", "root_state", "completed")
+                 "own_iter", "edge_done_iter", "fitness_next", "held", "fold_total", "folded",
+                 "early", "root_state", "completed")
 
     def __init__(self, agent_id: str, problem: Problem, tree: PseudoTree,
                  params: SwarmParams, max_iterations: int,
@@ -221,8 +229,7 @@ class AgentMachine:
         self.own_iter = 0               # iteration of the current positions
         self.edge_done_iter = -1
         self.fitness_next = 0           # next iteration to aggregate / judge
-        self.values_buf: dict[int, dict[str, np.ndarray]] = {}  # iteration -> H member -> positions
-        self.best_buf: dict[int, BestInfo] = {}
+        self.held: dict[str, np.ndarray] = {}  # H member -> positions of own_iter
         # the fold of iteration fitness_next: the sum of slots 0 .. folded-1
         # (None before the first) and the contributions that arrived ahead of
         # their slot's turn (None until the first does)
@@ -250,8 +257,11 @@ class AgentMachine:
     def fire(self, round_no: int, inbox: list[Envelope]) -> list[Envelope]:
         """Absorb `inbox` and run the protocol as far as it goes; return the
         envelopes sent, whose arrays the simulator fills in this round.
-        Raises on positions from outside H and on a fitness contribution that
-        is late, duplicate or not owed (see `_fold`)."""
+        A VALUE or UPDATE applies its verdict on arrival, if not applied yet,
+        and its positions are held until this agent's edge costs go out.
+        Raises on a VALUE or UPDATE the protocol cannot send this agent now
+        and on a fitness contribution that is late, duplicate or not owed
+        (see `_fold`)."""
         out: list[Envelope] = []
         if not self.initialized:
             self.initialized = True
@@ -259,51 +269,45 @@ class AgentMachine:
                 self.moved.append(Moved(round_no, self.id, 0, self.position))
             for j in self.L:
                 out.append(Envelope(_VALUE, 0, self.id, j, self.position))
+        held = self.held
         for env in inbox:
             kind = env.kind
-            if kind is _VALUE or kind is _UPDATE:
-                sender, t = env.sender, env.iteration
-                if sender not in self.constraint_with:
-                    raise RuntimeError(
-                        f"{self.id}: {kind.value} from {sender} for iteration {t}, "
-                        f"but {sender} is not in {self.id}'s H")
-                if t < self.max_iterations:  # the final positions are never evaluated
-                    held = self.values_buf.get(t)
-                    if held is None:
-                        self.values_buf[t] = {sender: env.values}
-                    else:
-                        held[sender] = env.values
-                best = env.best
-                if best is not None and best.iteration >= self.own_iter:
-                    self.best_buf[best.iteration] = best
-            else:
+            if kind is not _VALUE and kind is not _UPDATE:
                 self._fold(env)
-
-        # only a verdict, judged or applied, can enable more work: sending
-        # edge costs or an aggregate changes nothing this agent waits on
-        n_slots = len(self.slots)
-        while True:
-            own_iter = self.own_iter
-            best = self.best_buf.pop(own_iter, None)
-            if best is not None:
-                self._apply_update(best, round_no, out)
                 continue
-            # ready once this iteration's positions from all of H are held
-            if self.edge_done_iter < own_iter < self.max_iterations:
-                held = self.values_buf.get(own_iter)
-                if held is not None and len(held) == len(self.H):
-                    self._send_edge_costs(held, out)
-            if self.is_root:
-                t = self.fitness_next
-                if t == own_iter and t < self.max_iterations and self.folded == n_slots:
-                    self._judge(t)
-                    continue
-            elif self.L and self.folded == n_slots:
-                t = self.fitness_next
-                out.append(Envelope(_AGG_FITNESS, t, self.id, self.parent, None,
-                                    self._take_sum()))
-                self.fitness_next = t + 1
-            return out
+            sender, t, best = env.sender, env.iteration, env.best
+            if sender not in self.constraint_with:
+                raise RuntimeError(
+                    f"{self.id}: {kind.value} from {sender} for iteration {t}, "
+                    f"but {sender} is not in {self.id}'s H")
+            if best is not None and best.iteration >= self.own_iter:
+                if best.iteration != self.edge_done_iter:
+                    raise RuntimeError(
+                        f"{self.id}: {kind.value} from {sender} for iteration {t} carries the "
+                        f"verdict of iteration {best.iteration} before {self.id}'s edge costs of it")
+                self._apply_update(best, round_no, out)
+            if t != self.own_iter:
+                raise RuntimeError(
+                    f"{self.id}: {kind.value} from {sender} for iteration {t} arrived "
+                    f"at iteration {self.own_iter}")
+            if t == self.edge_done_iter or sender in held:
+                raise RuntimeError(
+                    f"{self.id}: duplicate {kind.value} from {sender} for iteration {t}")
+            if t < self.max_iterations:  # the final positions are never evaluated
+                held[sender] = env.values
+
+        if held and len(held) == len(self.H):
+            self._send_edge_costs(out)
+        if self.is_root:
+            # one verdict per completed fold; a lone root's folds are empty,
+            # so it judges and applies every iteration in its first firing
+            while self.own_iter < self.max_iterations and self.folded == len(self.slots):
+                self._apply_update(self._judge(), round_no, out)
+        elif self.L and self.folded == len(self.slots):
+            t = self.fitness_next
+            out.append(Envelope(_AGG_FITNESS, t, self.id, self.parent, None, self._take_sum()))
+            self.fitness_next = t + 1
+        return out
 
     def _fold(self, env: Envelope):
         """Fold one fitness contribution in slot order, holding it if an
@@ -355,31 +359,32 @@ class AgentMachine:
         out += updates
         self.moves.append((self, best, updates, moved))
 
-    def _send_edge_costs(self, held: dict[str, np.ndarray], out: list[Envelope]):
-        """Send this iteration's edge costs on `held`, the positions of H; the
+    def _send_edge_costs(self, out: list[Envelope]):
+        """Send this iteration's edge costs on the held positions of H; the
         simulator evaluates them this round (see `Simulator._evaluate_edges`)."""
         t = self.own_iter
-        del self.values_buf[t]
         sent = [Envelope(_EDGE_FITNESS, t, self.id, h) for h in self.H]
         out += sent
-        self.edge_costs.append((self, held, sent))
+        self.edge_costs.append((self, self.held, sent))
+        self.held = {}
         self.edge_done_iter = t
 
-    def _judge(self, t: int):
+    def _judge(self) -> BestInfo:
+        """Judge the completed fold of iteration `fitness_next`."""
+        t = self.fitness_next
         if self.slots:
             fit = self._take_sum()
         else:
             fit = np.zeros(self.params.K)  # isolated root: empty objective
         best = root_update(self.root_state, fit, self.params, t)
         self.completed.append((t, best, fit))
-        self.best_buf[t] = best  # picked up by the local update phase
         self.fitness_next = t + 1
+        return best
 
     def describe_block(self) -> str:
         waits = []
         if self.H and self.edge_done_iter < self.own_iter:
-            held = self.values_buf.get(self.own_iter, {})
-            missing = [h for h in self.H if h not in held]
+            missing = [h for h in self.H if h not in self.held]
             waits.append(f"values({self.own_iter}) from {missing}")
         if self.is_root or self.L:
             t = self.fitness_next
@@ -514,34 +519,30 @@ class Simulator:
         self._drain_root(round_no)
 
     def _move(self):
-        """Make the round's moves. The movers under each verdict, in ordinal
-        order, step a block of rows at a time. A run of movers that is exactly
-        the block they are in steps that block again, as every run does under
-        the synchronous schedule; any other run is copied into a new block.
-        Verdicts go in iteration order, so an agent that moves twice in a
-        round (a lone root) moves in order."""
-        verdicts: dict[int, BestInfo] = {}
-        movers: dict[int, list] = {}  # iteration -> (machine, UPDATE envelopes, Moved record)
-        for machine, best, updates, moved in self._moves:
-            verdicts[best.iteration] = best
-            movers.setdefault(best.iteration, []).append((machine, updates, moved))
-        self._moves.clear()
+        """Make the round's moves. Each run of consecutive movers under one
+        verdict, in ordinal order, steps a block of rows at a time. A run of
+        movers that is exactly the block they are in steps that block again,
+        as every run does under the synchronous schedule; any other run is
+        copied into a new block. All movers of a round share one verdict, but
+        a lone root, which applies its verdicts in iteration order."""
         rows = block_rows(self.params.K)
-        for t in sorted(movers):
-            best, group = verdicts[t], movers[t]
+        for _, group in groupby(self._moves, key=lambda move: move[1].iteration):
+            group = list(group)
+            best = group[0][1]
             for lo in range(0, len(group), rows):
                 run = group[lo:lo + rows]
                 block = run[0][0].block
                 if np.size(block.ordinals) != len(run) or any(
-                        m.block is not block or m.column != c for c, (m, _, _) in enumerate(run)):
-                    block = self._regather([m for m, _, _ in run])
+                        m.block is not block or m.column != c for c, (m, *_) in enumerate(run)):
+                    block = self._regather([m for m, *_ in run])
                 move_block(block, best, self.params)
-                for c, (machine, updates, moved) in enumerate(run):
+                for c, (machine, _, updates, moved) in enumerate(run):
                     machine.position = block.position_of(c)
                     for env in updates:
                         env.values = machine.position
                     if moved is not None:
                         moved.position = machine.position
+        self._moves.clear()  # in place: every machine queues into this list
 
     @staticmethod
     def _hold(machines: list[AgentMachine], block: Block):
@@ -561,7 +562,7 @@ class Simulator:
             block = Block(np.array([m.ordinal for m in machines]),
                           domain_bounds([m.domain for m in machines]),
                           AgentSwarmState(*(np.array([getattr(s, f) for s in states]).T for f in (
-                              "position", "velocity", "pbest_component", "gbest_component"))))
+                              "position", "velocity", "pbest_component"))))
         self._hold(machines, block)
         return block
 
@@ -597,11 +598,8 @@ class Simulator:
                 for env, cost, a, b in zip(run, costs[lo:hi], xi[lo:hi], xj[lo:hi]):
                     env.fitness = evaluate_edge(cost, a, b)
                 continue
-            # one QuadraticCost per row, as (E_b, 1) coefficient columns
-            cost = SimpleNamespace(a=np.array([c.a for c in costs[lo:hi]])[:, None],
-                                   b=np.array([c.b for c in costs[lo:hi]])[:, None],
-                                   c=np.array([c.c for c in costs[lo:hi]])[:, None])
-            values = evaluate_edge(cost, np.array(xi[lo:hi]), np.array(xj[lo:hi]))
+            values = evaluate_edge(cost_columns(costs[lo:hi]), np.array(xi[lo:hi]),
+                                   np.array(xj[lo:hi]))
             for env, row in zip(run, values):
                 env.fitness = row
 

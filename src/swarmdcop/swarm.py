@@ -6,7 +6,9 @@ radius rho around the best known point; every other particle follows the
 usual inertia + personal-best + global-best pull. rho doubles after a run of
 consecutive successes and halves after a run of consecutive failures. One
 `RootState` holds the fitness bests and this controller; each verdict carries
-rho to the agents, which keep only their particle components.
+rho to the agents, which keep only their particle components: position,
+velocity and personal best. The global-best component is not stored; a step
+reads it from the personal bests at the verdict's gbest index.
 
 All update functions accept scalars or equal-length numpy arrays and keep a
 fixed expression shape, so vectorized and scalar evaluation round identically
@@ -100,7 +102,6 @@ class AgentSwarmState:
     position: np.ndarray
     velocity: np.ndarray
     pbest_component: np.ndarray
-    gbest_component: float  # (rows,) for a block of agents
 
 
 def domain_bounds(domains: list[ContinuousDomain]) -> SimpleNamespace:
@@ -132,9 +133,8 @@ class Block:
         """Agent c's components: views of column c."""
         s = self.state
         if s.position.ndim == 1:
-            return AgentSwarmState(s.position, s.velocity, s.pbest_component, s.gbest_component)
-        return AgentSwarmState(s.position[:, c], s.velocity[:, c], s.pbest_component[:, c],
-                               s.gbest_component[c])
+            return AgentSwarmState(s.position, s.velocity, s.pbest_component)
+        return AgentSwarmState(s.position[:, c], s.velocity[:, c], s.pbest_component[:, c])
 
 
 def fresh_block(K: int, seed: int, ordinals: Sequence[int], domains: list[ContinuousDomain],
@@ -180,7 +180,6 @@ def fresh_state(K: int, domain: ContinuousDomain, seed: int, ordinal: int | np.n
         position=positions,
         velocity=np.zeros_like(positions),
         pbest_component=positions.copy(order="K"),
-        gbest_component=positions[0],
     )
 
 
@@ -282,13 +281,13 @@ def apply_best(state: AgentSwarmState, best: BestInfo, params: SwarmParams,
     """
     improved = best.improved if state.position.ndim == 1 else best.improved[:, None]
     state.pbest_component = np.where(improved, state.position, state.pbest_component)
-    state.gbest_component = state.pbest_component[best.gbest_index]
+    g = best.gbest_index
+    gbest_component = state.pbest_component[g]
 
     v_new = velocity_standard(state.velocity, state.position, state.pbest_component,
-                              state.gbest_component, params.w, params.c1, params.c2, r1, r2)
-    g = best.gbest_index
+                              gbest_component, params.w, params.c1, params.c2, r1, r2)
     v_new[g] = velocity_gbest(state.velocity[g], state.position[g],
-                              state.gbest_component, params.w, best.rho, r2[g])
+                              gbest_component, params.w, best.rho, r2[g])
     if params.clamp_velocity:
         v_new = np.minimum(np.maximum(v_new, -domain.width), domain.width)
     state.velocity = v_new

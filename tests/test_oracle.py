@@ -64,12 +64,12 @@ def test_constraint_order_fold_equals_global_cost(fig1, fig1_force):
 
 def _tree_fold(problem, tree, position, K):
     """The root's fitness, folded one agent and one edge at a time, deepest
-    agents first, each over its `fitness_senders` in order."""
+    agents first, each over its `fitness_slots` in order."""
     sums = {}
     for a in sorted(problem.ids, key=tree.priority_key, reverse=True):
         cons = [problem.constraint_between(a, j) for j in tree.L[a]]
         parts = [evaluate_edge(c.cost, position[c.i], position[c.j]) for c in cons]
-        parts += [sums[child] for child in tree.fitness_senders[a][len(cons):]]
+        parts += [sums[child] for child, aggregate in tree.fitness_slots[a] if aggregate]
         if parts:
             sums[a] = parts[0]
             for part in parts[1:]:

@@ -26,14 +26,10 @@ def test_worked_example_tree(fig1):
     assert tree.children["x1"] == ["x2", "x3", "x4"]
     # x1 folds 3 edge costs from L, then the aggregate of x3 (the only child
     # with a nonempty L); x3 folds just x4's edge cost
-    assert tree.fitness_senders == {"x1": ["x2", "x3", "x4", "x3"], "x2": [], "x3": ["x4"],
-                                    "x4": []}
-    assert tree.fitness_slots["x1"] == {("x2", False): 0, ("x3", False): 1, ("x4", False): 2,
-                                        ("x3", True): 3}
-    assert tree.fitness_slot("x1", "x3", aggregate=False) == 1
-    assert tree.fitness_slot("x1", "x3", aggregate=True) == 3
-    with pytest.raises(ValueError):
-        tree.fitness_slot("x1", "x2", aggregate=True)  # x2 has an empty L
+    assert tree.fitness_slots == {
+        "x1": {("x2", False): 0, ("x3", False): 1, ("x4", False): 2, ("x3", True): 3},
+        "x2": {}, "x3": {("x4", False): 0}, "x4": {}}
+    assert ("x2", True) not in tree.fitness_slots["x1"]  # x2 has an empty L
 
 
 def test_single_agent_tree():
@@ -42,7 +38,7 @@ def test_single_agent_tree():
     assert tree.root == "x1"
     assert tree.d == 0
     assert tree.H["x1"] == [] and tree.L["x1"] == []
-    assert tree.fitness_senders["x1"] == []
+    assert tree.fitness_slots["x1"] == {}
 
 
 def test_path_graph_tree():
@@ -110,11 +106,8 @@ def test_tree_structure_invariants(seed, n, topology):
             assert hops == tree.depth[agent]
         # the fold slots: L's edge costs in priority order, then the
         # aggregates of the children with nonempty L in BFS order
-        senders = tree.fitness_senders[agent]
+        slots = tree.fitness_slots[agent]
         aggregating = [c for c in tree.children[agent] if tree.L[c]]
-        assert len(senders) == len(tree.L[agent]) + len(aggregating)
-        assert senders[:len(tree.L[agent])] == sorted(tree.L[agent], key=tree.priority_key)
-        assert senders[len(tree.L[agent]):] == aggregating
-        for slot, sender in enumerate(senders):
-            aggregate = slot >= len(tree.L[agent])
-            assert tree.fitness_slot(agent, sender, aggregate) == slot
+        assert list(slots) == ([(j, False) for j in sorted(tree.L[agent], key=tree.priority_key)]
+                               + [(c, True) for c in aggregating])
+        assert list(slots.values()) == list(range(len(slots)))

@@ -199,16 +199,18 @@ def test_quiescence_leaves_no_pending_state():
         assert sim.quiescent
         for machine in sim.machines:
             assert machine.done
-            assert not machine.values_buf
-            assert not machine.best_buf
+            assert not machine.held
             assert (machine.fold_total, machine.folded) == (None, 0)
             assert not machine.early
 
 
 def test_agent_machines_carry_no_attribute_dict(fig1):
-    # one machine per agent: an attribute dict raised peak RSS by 9% at n=1600
+    # one machine per agent: an attribute dict raised peak RSS by 9% at n=1600;
+    # and set-up assigns every slot, so a slot no code uses fails here
     sim = Simulator(fig1, SwarmParams(K=2, seed=0), 1)
-    assert not any(hasattr(machine, "__dict__") for machine in sim.machines)
+    for machine in sim.machines:
+        assert not hasattr(machine, "__dict__")
+        assert [name for name in AgentMachine.__slots__ if not hasattr(machine, name)] == []
 
 
 def test_only_recipients_fire_in_ordinal_order(monkeypatch):
@@ -331,6 +333,34 @@ def test_positions_from_outside_h_raise(fig1, fig1_force):
     # x4 is in x3's L: it sends x3 edge costs, never positions
     sim.queue.append(Envelope(Kind.VALUE, 0, "x4", "x3", values=np.zeros(2)))
     match = r"x3: VALUE from x4 for iteration 0, but x4 is not in x3's H"
+    with pytest.raises(RuntimeError, match=match):
+        sim.run_to_quiescence()
+
+
+@pytest.mark.parametrize("delay, match", [
+    (0, "x3: duplicate VALUE from x1 for iteration 0"),  # while held
+    (2, "x3: duplicate VALUE from x1 for iteration 0"),  # after x3 sent its edge costs
+    (3, "x3: VALUE from x1 for iteration 0 arrived at iteration 1"),  # after verdict 0
+])
+def test_duplicate_positions_raise(fig1, fig1_force, delay, match):
+    sim = _forced_sim(fig1, fig1_force, iterations=3)
+    value = next(env for env in sim.queue if (env.sender, env.recipient) == ("x1", "x3"))
+    for _ in range(delay):
+        sim.step()
+    sim.queue.append(replace(value))  # delivered `delay` rounds after the original
+    with pytest.raises(RuntimeError, match=match):
+        sim.run_to_quiescence()
+
+
+def test_update_with_a_verdict_ahead_raises(fig1, fig1_force):
+    sim = _forced_sim(fig1, fig1_force, iterations=3)
+    while not any(env.kind is Kind.UPDATE for env in sim.queue):
+        sim.step()
+    update = next(env for env in sim.queue if env.recipient == "x3")  # verdict 0, positions 1
+    # x3 applies verdict 0 first, but has not yet sent its edge costs of iteration 1
+    sim.queue.append(replace(update, iteration=2, best=replace(update.best, iteration=1)))
+    match = ("x3: UPDATE from x1 for iteration 2 carries the verdict of iteration 1 "
+             "before x3's edge costs of it")
     with pytest.raises(RuntimeError, match=match):
         sim.run_to_quiescence()
 

@@ -190,18 +190,17 @@ def test_apply_best_refreshes_components_from_judged_positions():
     before = state.position.copy()
     apply_best(state, best, params, domain, np.full(3, 0.5), np.full(3, 0.5))
     assert state.pbest_component.tolist() == [1.0, -2.0, 5.0]  # improved slots refreshed
-    assert state.gbest_component == before[1]
+    assert state.pbest_component[best.gbest_index] == before[1]
     # the non-gbest particles froze (w=c1=c2=0); the gbest one landed on gbest_c
     assert state.position[0] == before[0]
     assert state.position[2] == before[2]
-    assert state.position[1] == pytest.approx(state.gbest_component, abs=1.0)  # within rho
+    assert state.position[1] == pytest.approx(before[1], abs=1.0)  # within rho
 
 
 def _assert_columns_equal(block, states):
     for k, state in enumerate(states):
         for f in ("position", "velocity", "pbest_component"):
             assert getattr(block, f)[:, k].tobytes() == getattr(state, f).tobytes()
-        assert block.gbest_component[k] == state.gbest_component
 
 
 def test_fresh_state_of_a_block_equals_per_agent_states():
