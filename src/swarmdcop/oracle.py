@@ -2,11 +2,12 @@
 
 `centralized_gcpso` runs the identical swarm arithmetic on full assignments
 with no message passing, as one dense swarm stepped a block of rows at a
-time. All positions sit in one agent-major (n, K) array. A block of agents
-moves with `swarm.move_block`, the step the runtime's agents take too: one
-key grid per draw and one `apply_best` call on particle-major (K, rows)
-arrays. A block of edges costs one `evaluate_edge` call on operands gathered
-from the positions. Every fitness sum is the pseudo-tree's fold
+time. All positions sit in one agent-major (n, K) array, and each block's
+positions are a view of its rows. A block of agents moves with
+`swarm.move_block`, the step the runtime's agents take too: one key grid per
+draw and one `apply_best` call on the block's (rows, K) arrays. A block of
+edges costs one `evaluate_edge` call on operands gathered from the
+positions. Every fitness sum is the pseudo-tree's fold
 (`PseudoTree.fitness_slots`), the one summation order the runtime uses
 too. Every operation is the per-agent one, elementwise in the same order,
 so the gbest trace equals the distributed runtime's bit for bit, over whole
@@ -81,8 +82,8 @@ def _fold_plan(problem: Problem, rows: int):
 def _keep_in(position: np.ndarray, span: slice, block):
     """Copy the block's positions into its rows of `position` and make them
     views of those rows: the positions live in `position` only."""
-    position[span] = block.state.position.T
-    block.state.position = position[span].T.reshape(block.state.position.shape)
+    position[span] = block.state.position
+    block.state.position = position[span]
 
 
 def centralized_gcpso(problem: Problem, params: SwarmParams, iterations: int,

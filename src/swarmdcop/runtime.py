@@ -21,7 +21,8 @@ carrying it arrives: verdict t is judged only after the agent's edge costs
 of t, so an UPDATE carries the agent's next verdict or one it has applied.
 It holds the positions of the iteration it is at, one vector per H member,
 until its edge costs go out: an H member reaches t+1 only under verdict t,
-which needed the agent's edge costs of t. Any other VALUE or UPDATE raises,
+which needed the agent's edge costs of t. The final iteration's positions
+are held too, but never costed. Any other VALUE or UPDATE raises,
 naming the agent, kind, sender and iteration, as a late, duplicate or unowed
 fitness contribution does.
 
@@ -190,7 +191,7 @@ class AgentMachine:
     # slots: there is one instance per agent, and on CPython 3.11 an instance
     # with more than 26 attributes carries a 1.6 KB attribute dict, not 0.3 KB
     __slots__ = ("id", "ordinal", "domain", "params", "max_iterations", "is_root", "H", "L",
-                 "parent", "slots", "constraint_with", "on_event", "block", "column",
+                 "parent", "slots", "constraint_with", "on_event", "block", "row",
                  "position", "moves", "edge_costs", "moved", "initialized",
                  "own_iter", "edge_done_iter", "fitness_next", "held", "fold_total", "folded",
                  "early", "root_state", "completed")
@@ -211,11 +212,11 @@ class AgentMachine:
         self.constraint_with = {nbr: problem.constraint_between(agent_id, nbr) for nbr in self.H}
         self.on_event = on_event
 
-        # the components of the K particles: column `column` of a block shared
-        # with the agents that moved with this one (set up by the simulator);
-        # `position` is that column of the block's positions
+        # the components of the K particles: row `row` of a block shared with
+        # the agents that moved with this one (set up by the simulator);
+        # `position` is that row of the block's positions
         self.block: Block | None = None
-        self.column = 0
+        self.row = 0
         self.position: np.ndarray | None = None
         # the round's numeric work, queues shared by all agents and worked off
         # by the simulator: (agent, verdict, its UPDATE envelopes, its Moved
@@ -248,7 +249,7 @@ class AgentMachine:
     @property
     def state(self) -> AgentSwarmState:
         """This agent's components of the K particles (views of its block)."""
-        return self.block.column(self.column)
+        return self.block.row(self.row)
 
     @property
     def done(self) -> bool:
@@ -258,7 +259,8 @@ class AgentMachine:
         """Absorb `inbox` and run the protocol as far as it goes; return the
         envelopes sent, whose arrays the simulator fills in this round.
         A VALUE or UPDATE applies its verdict on arrival, if not applied yet,
-        and its positions are held until this agent's edge costs go out.
+        and its positions are held until this agent's edge costs go out (the
+        final ones for good: no edge costs go out on them).
         Raises on a VALUE or UPDATE the protocol cannot send this agent now
         and on a fitness contribution that is late, duplicate or not owed
         (see `_fold`)."""
@@ -293,10 +295,9 @@ class AgentMachine:
             if t == self.edge_done_iter or sender in held:
                 raise RuntimeError(
                     f"{self.id}: duplicate {kind.value} from {sender} for iteration {t}")
-            if t < self.max_iterations:  # the final positions are never evaluated
-                held[sender] = env.values
+            held[sender] = env.values
 
-        if held and len(held) == len(self.H):
+        if held and len(held) == len(self.H) and self.own_iter < self.max_iterations:
             self._send_edge_costs(out)
         if self.is_root:
             # one verdict per completed fold; a lone root's folds are empty,
@@ -532,12 +533,12 @@ class Simulator:
             for lo in range(0, len(group), rows):
                 run = group[lo:lo + rows]
                 block = run[0][0].block
-                if np.size(block.ordinals) != len(run) or any(
-                        m.block is not block or m.column != c for c, (m, *_) in enumerate(run)):
+                if len(block.ordinals) != len(run) or any(
+                        m.block is not block or m.row != r for r, (m, *_) in enumerate(run)):
                     block = self._regather([m for m, *_ in run])
                 move_block(block, best, self.params)
-                for c, (machine, _, updates, moved) in enumerate(run):
-                    machine.position = block.position_of(c)
+                for r, (machine, _, updates, moved) in enumerate(run):
+                    machine.position = block.state.position[r]
                     for env in updates:
                         env.values = machine.position
                     if moved is not None:
@@ -546,23 +547,18 @@ class Simulator:
 
     @staticmethod
     def _hold(machines: list[AgentMachine], block: Block):
-        """Point each machine at its column of `block`, in order."""
-        for c, machine in enumerate(machines):
-            machine.block, machine.column = block, c
-            machine.position = block.position_of(c)
+        """Point each machine at its row of `block`, in order."""
+        for r, machine in enumerate(machines):
+            machine.block, machine.row = block, r
+            machine.position = block.state.position[r]
 
     def _regather(self, machines: list[AgentMachine]) -> Block:
-        """A new block holding the machines' components, in order: copies, or
-        for one machine, as `fresh_block` holds it, its own (steps replace
-        arrays and never write into them)."""
+        """A new block holding copies of the machines' components, in order."""
         states = [m.state for m in machines]
-        if len(machines) == 1:
-            block = Block(machines[0].ordinal, machines[0].domain, states[0])
-        else:
-            block = Block(np.array([m.ordinal for m in machines]),
-                          domain_bounds([m.domain for m in machines]),
-                          AgentSwarmState(*(np.array([getattr(s, f) for s in states]).T for f in (
-                              "position", "velocity", "pbest_component"))))
+        block = Block(np.array([m.ordinal for m in machines]),
+                      domain_bounds([m.domain for m in machines]),
+                      AgentSwarmState(*(np.array([getattr(s, f) for s in states]) for f in (
+                          "position", "velocity", "pbest_component"))))
         self._hold(machines, block)
         return block
 

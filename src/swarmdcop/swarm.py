@@ -10,12 +10,13 @@ rho to the agents, which keep only their particle components: position,
 velocity and personal best. The global-best component is not stored; a step
 reads it from the personal bests at the verdict's gbest index.
 
-All update functions accept scalars or equal-length numpy arrays and keep a
-fixed expression shape, so vectorized and scalar evaluation round identically
-per element. The distributed runtime and the centralized reference both step
-blocks of agents with `move_block` (one key grid per draw, one `apply_best`)
-on the same keyed random draws, which makes their particle trajectories
-bit-identical.
+All update functions accept scalars or numpy arrays that broadcast together
+and keep a fixed expression shape, so vectorized and scalar evaluation round
+identically per element. Swarm state is agent-major: one row of K particle
+components per agent, a block of one agent included. The distributed runtime
+and the centralized reference both step blocks of agents with `move_block`
+(one key grid per draw, one `apply_best`) on the same keyed random draws,
+which makes their particle trajectories bit-identical.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ class RootState:
 
 @dataclass
 class AgentSwarmState:
-    """One agent's components of the K particles.
+    """One agent's components of the K particles, or a block's: (rows, K)
+    arrays, one row per agent.
 
     Between updates `position` holds the values whose verdict is pending.
     """
@@ -105,49 +107,35 @@ class AgentSwarmState:
 
 
 def domain_bounds(domains: list[ContinuousDomain]) -> SimpleNamespace:
-    """The domains of a block of agents, one per column, as `apply_best` and
-    `fresh_state` read a domain: lower, upper and width arrays."""
-    lower = np.array([d.lower for d in domains])
-    upper = np.array([d.upper for d in domains])
+    """The domains of a block of agents, as `apply_best` and `fresh_state`
+    read a domain: lower, upper and width columns of shape (rows, 1), one
+    row per agent, which broadcast along each agent's K particles."""
+    lower = np.array([[d.lower] for d in domains])
+    upper = np.array([[d.upper] for d in domains])
     return SimpleNamespace(lower=lower, upper=upper, width=upper - lower)
 
 
 @dataclass
 class Block:
-    """A particle-major block of agents: `state` arrays of shape (K, rows), one
-    column per agent, with each column's ordinal and domain bounds. A block of
-    one agent holds the agent's ordinal, domain and 1-D state instead, which
-    steps as fast as a per-agent call (at K=2000 a (K, 1) block stepped about
-    45% slower)."""
+    """An agent-major block of agents: `state` arrays of shape (rows, K), one
+    row per agent, with the rows' ordinals and `domain_bounds`."""
 
-    ordinals: np.ndarray | int
-    bounds: SimpleNamespace | ContinuousDomain
+    ordinals: np.ndarray
+    bounds: SimpleNamespace
     state: AgentSwarmState
 
-    def position_of(self, c: int) -> np.ndarray:
-        """Agent c's positions: a view of column c."""
-        position = self.state.position
-        return position if position.ndim == 1 else position[:, c]
-
-    def column(self, c: int) -> AgentSwarmState:
-        """Agent c's components: views of column c."""
+    def row(self, r: int) -> AgentSwarmState:
+        """Agent r's components: views of row r."""
         s = self.state
-        if s.position.ndim == 1:
-            return AgentSwarmState(s.position, s.velocity, s.pbest_component)
-        return AgentSwarmState(s.position[:, c], s.velocity[:, c], s.pbest_component[:, c])
+        return AgentSwarmState(s.position[r], s.velocity[r], s.pbest_component[r])
 
 
 def fresh_block(K: int, seed: int, ordinals: Sequence[int], domains: list[ContinuousDomain],
                 forced: list[np.ndarray] | None = None) -> Block:
-    """The initial block of the agents `ordinals`, column c with domain
-    `domains[c]` and, if given, forced positions `forced[c]` (see
+    """The initial block of the agents `ordinals`, row r with domain
+    `domains[r]` and, if given, forced positions `forced[r]` (see
     `fresh_state`)."""
-    if len(ordinals) == 1:
-        return Block(ordinals[0], domains[0], fresh_state(
-            K, domains[0], seed, ordinals[0], None if forced is None else forced[0]))
     ordinals, bounds = np.array(ordinals), domain_bounds(domains)
-    if forced is not None:
-        forced = np.array(forced).T
     return Block(ordinals, bounds, fresh_state(K, bounds, seed, ordinals, forced))
 
 
@@ -157,7 +145,7 @@ def move_block(block: Block, best: BestInfo, params: SwarmParams):
     none of them."""
     r1 = keyed_uniforms(params.seed, block.ordinals, best.iteration, DRAW_R1, params.K)
     r2 = keyed_uniforms(params.seed, block.ordinals, best.iteration, DRAW_R2, params.K)
-    apply_best(block.state, best, params, block.bounds, r1.T, r2.T)
+    apply_best(block.state, best, params, block.bounds, r1, r2)
 
 
 def fresh_state(K: int, domain: ContinuousDomain, seed: int, ordinal: int | np.ndarray,
@@ -167,19 +155,18 @@ def fresh_state(K: int, domain: ContinuousDomain, seed: int, ordinal: int | np.n
     already pass `check_force_init`.
 
     `ordinal` may also be an array of ordinals, with `domain` their
-    `domain_bounds` and `forced`, if given, one column per ordinal: the state
-    is then particle-major, of shape (K, rows), drawn from one key grid, and
-    each column is bit-identical to the per-agent state.
+    `domain_bounds` and `forced`, if given, one row per ordinal: the state is
+    then agent-major, of shape (rows, K), drawn from one key grid, and each
+    row is bit-identical to the per-agent state.
     """
     if forced is None:
-        # .T turns the grid's rows into columns and leaves one agent's draw as is
-        positions = domain.lower + keyed_uniforms(seed, ordinal, 0, DRAW_INIT, K).T * domain.width
+        positions = domain.lower + keyed_uniforms(seed, ordinal, 0, DRAW_INIT, K) * domain.width
     else:
         positions = np.array(forced, dtype=np.float64)
     return AgentSwarmState(
         position=positions,
         velocity=np.zeros_like(positions),
-        pbest_component=positions.copy(order="K"),
+        pbest_component=positions.copy(),
     )
 
 
@@ -245,12 +232,16 @@ def root_update(root: RootState, fitness: np.ndarray, params: SwarmParams,
     Strict '<' everywhere; ties keep incumbents. Among simultaneous improvers
     of the global best, the lowest particle index wins. Success: the previous
     global-best particle improved its own personal best. Failure: the
-    global-best fitness did not change.
+    global-best fitness did not change. An infinite fitness compares as a
+    number; a NaN one, which compares false with everything, raises.
     """
+    low = fitness.min()
+    if low != low:  # the min of an array with a NaN is NaN
+        k = int(np.argmax(np.isnan(fitness)))
+        raise ValueError(f"iteration {t}: the fitness of particle {k} is NaN")
     improved = fitness < root.pbest_fitness
     new_pbest = np.where(improved, fitness, root.pbest_fitness)
     success = new_pbest[root.gbest_index] < root.gbest_fitness
-    low = fitness.min()
     changed = bool(low < root.gbest_fitness)
     if changed:
         root.gbest_index = int(np.argmin(fitness))
@@ -274,20 +265,19 @@ def apply_best(state: AgentSwarmState, best: BestInfo, params: SwarmParams,
     """Apply one verdict to an agent's state: refresh bests, then advance
     every particle component. Mutates `state` in place.
 
-    The same call steps a particle-major block of agents: `state` arrays,
-    r1 and r2 of shape (K, rows) and domain bounds of shape (rows,). Each
-    element rounds as in the per-agent call, so a block step is bit-identical
-    to stepping its agents one by one.
+    The same call steps an agent-major block of agents: `state` arrays, r1
+    and r2 of shape (rows, K) and `domain_bounds` columns. The particles run
+    along the last axis, so each element rounds as in the per-agent call and
+    a block step is bit-identical to stepping its agents one by one.
     """
-    improved = best.improved if state.position.ndim == 1 else best.improved[:, None]
-    state.pbest_component = np.where(improved, state.position, state.pbest_component)
-    g = best.gbest_index
-    gbest_component = state.pbest_component[g]
+    state.pbest_component = np.where(best.improved, state.position, state.pbest_component)
+    g = slice(best.gbest_index, best.gbest_index + 1)  # keeps the particle axis
+    gbest_component = state.pbest_component[..., g]
 
     v_new = velocity_standard(state.velocity, state.position, state.pbest_component,
                               gbest_component, params.w, params.c1, params.c2, r1, r2)
-    v_new[g] = velocity_gbest(state.velocity[g], state.position[g],
-                              gbest_component, params.w, best.rho, r2[g])
+    v_new[..., g] = velocity_gbest(state.velocity[..., g], state.position[..., g],
+                                   gbest_component, params.w, best.rho, r2[..., g])
     if params.clamp_velocity:
         v_new = np.minimum(np.maximum(v_new, -domain.width), domain.width)
     state.velocity = v_new

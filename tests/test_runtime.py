@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from swarmdcop import (
+    Constraint,
     ContinuousDomain,
     GenSpec,
     Problem,
+    QuadraticCost,
     SwarmParams,
     build_bfs_pseudotree,
     centralized_gcpso,
@@ -191,7 +193,8 @@ def test_best_info_propagation_bound():
 
 
 def test_quiescence_leaves_no_pending_state():
-    # the ER graph has cross edges, whose final UPDATE positions no one evaluates
+    # every agent ends holding its H's final positions, which no one evaluates;
+    # the ER graph has cross edges, whose final positions come by UPDATE
     for spec in (GenSpec(topology="random_tree", n=6, seed=18),
                  GenSpec(topology="erdos_renyi", n=20, seed=0, p=0.2)):
         sim = Simulator(generate(spec), SwarmParams(K=4, seed=7), 8)
@@ -199,7 +202,7 @@ def test_quiescence_leaves_no_pending_state():
         assert sim.quiescent
         for machine in sim.machines:
             assert machine.done
-            assert not machine.held
+            assert set(machine.held) == set(machine.H)
             assert (machine.fold_total, machine.folded) == (None, 0)
             assert not machine.early
 
@@ -349,6 +352,19 @@ def test_duplicate_positions_raise(fig1, fig1_force, delay, match):
         sim.step()
     sim.queue.append(replace(value))  # delivered `delay` rounds after the original
     with pytest.raises(RuntimeError, match=match):
+        sim.run_to_quiescence()
+
+
+@pytest.mark.parametrize("delay", [0, 2])
+def test_duplicate_final_update_raises(fig1, fig1_force, delay):
+    sim = _forced_sim(fig1, fig1_force, iterations=3)
+    while (final := next((env for env in sim.queue if env.kind is Kind.UPDATE and env.iteration == 3
+                          and (env.sender, env.recipient) == ("x1", "x3")), None)) is None:
+        sim.step()
+    for _ in range(delay):
+        sim.step()
+    sim.queue.append(replace(final))  # delivered `delay` rounds after the original
+    with pytest.raises(RuntimeError, match="x3: duplicate UPDATE from x1 for iteration 3"):
         sim.run_to_quiescence()
 
 
@@ -503,6 +519,47 @@ def test_a_lone_agent_applies_every_verdict_in_one_round():
         apply_best(state, best, params, domain, keyed_uniforms(params.seed, 0, t, DRAW_R1, params.K),
                    keyed_uniforms(params.seed, 0, t, DRAW_R2, params.K))
         assert rec.moved[t + 1].position.tobytes() == state.position.tobytes()
+
+
+def _assert_agent_major(sim):
+    """Every machine's components are row `row` of its block's (rows, K) arrays."""
+    for machine in sim.machines:
+        block, state = machine.block, machine.state
+        assert block.ordinals[machine.row] == machine.ordinal
+        assert machine.position.flags.c_contiguous
+        assert machine.position.ctypes.data == block.state.position[machine.row].ctypes.data
+        for f in ("position", "velocity", "pbest_component"):
+            rows = getattr(block.state, f)
+            assert rows.shape == (len(block.ordinals), sim.params.K)
+            assert getattr(state, f).ctypes.data == rows[machine.row].ctypes.data
+
+
+@pytest.mark.parametrize("schedule", [None, 3], ids=["synchronous", "shuffled"])
+@pytest.mark.parametrize("problem", [
+    Problem(domains={"x1": ContinuousDomain(-2.0, 3.0)}, constraints=[]),
+    generate(GenSpec("scale_free", 14, 3, m=2)),
+], ids=["lone-agent", "scale-free"])
+def test_every_block_is_agent_major(problem, schedule):
+    sim = Simulator(problem, SwarmParams(K=6, seed=2), 5)
+    _assert_agent_major(sim)
+    if schedule is None:
+        sim.run_to_quiescence()
+    else:
+        _run_shuffled(sim, schedule)  # regathers runs of movers into new blocks
+    _assert_agent_major(sim)
+
+
+def test_a_nan_fitness_raises_in_both_solvers():
+    # a*x1^2 overflows to inf and b*x1*x2 to -inf; where both do, the cost is NaN
+    problem = Problem(domains={a: ContinuousDomain(0.0, 160.0) for a in ("x1", "x2")},
+                      constraints=[Constraint("x1", "x2", QuadraticCost(1e304, -1e304, 0.0))])
+    params = SwarmParams(K=8, seed=4)
+    match = "iteration 0: the fitness of particle 3 is NaN"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=match):
+            run(problem, params, 5)
+        with pytest.raises(ValueError, match=match):
+            centralized_gcpso(problem, params, 5)
 
 
 def test_force_init_validation(fig1):

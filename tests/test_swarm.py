@@ -12,7 +12,9 @@ from swarmdcop.swarm import (
     RootState,
     apply_best,
     domain_bounds,
+    fresh_block,
     fresh_state,
+    move_block,
     position_update,
     rho_update,
     root_update,
@@ -155,6 +157,15 @@ def test_root_update_simultaneous_improvers_lowest_index_wins():
     assert best.gbest_index == 1
 
 
+def test_root_update_compares_infinities_and_raises_on_nan():
+    root = RootState(np.array([math.inf] * 3))
+    best = root_update(root, np.array([math.inf, -math.inf, 1.0]), PARAMS, t=0)
+    assert (best.gbest_index, best.gbest_fitness) == (1, -math.inf)
+    assert best.improved.tolist() == [False, True, True]
+    with pytest.raises(ValueError, match="iteration 1: the fitness of particle 2 is NaN"):
+        root_update(root, np.array([0.0, -math.inf, math.nan]), PARAMS, t=1)
+
+
 def test_root_update_single_particle():
     root = RootState(np.array([math.inf]))
     best = root_update(root, np.array([3.0]), PARAMS, t=0)
@@ -197,21 +208,36 @@ def test_apply_best_refreshes_components_from_judged_positions():
     assert state.position[1] == pytest.approx(before[1], abs=1.0)  # within rho
 
 
-def _assert_columns_equal(block, states):
+def _assert_rows_equal(block, states):
     for k, state in enumerate(states):
         for f in ("position", "velocity", "pbest_component"):
-            assert getattr(block, f)[:, k].tobytes() == getattr(state, f).tobytes()
+            assert getattr(block, f)[k].tobytes() == getattr(state, f).tobytes()
 
 
 def test_fresh_state_of_a_block_equals_per_agent_states():
     K, domains = 9, [ContinuousDomain(-10.0, 10.0), ContinuousDomain(0.5, 2.0)]
     ordinals, bounds = [4, 1], domain_bounds(domains)
     drawn = fresh_state(K, bounds, (1 << 64) - 1, np.array(ordinals))
-    _assert_columns_equal(drawn, [fresh_state(K, d, (1 << 64) - 1, k)
-                                  for k, d in zip(ordinals, domains)])
+    _assert_rows_equal(drawn, [fresh_state(K, d, (1 << 64) - 1, k)
+                               for k, d in zip(ordinals, domains)])
     forced = [np.linspace(-10.0, 10.0, K), np.linspace(0.5, 2.0, K)]
-    _assert_columns_equal(fresh_state(K, bounds, 0, np.array(ordinals), np.stack(forced, axis=1)),
-                          [fresh_state(K, d, 0, k, f) for k, d, f in zip(ordinals, domains, forced)])
+    _assert_rows_equal(fresh_state(K, bounds, 0, np.array(ordinals), np.stack(forced)),
+                       [fresh_state(K, d, 0, k, f) for k, d, f in zip(ordinals, domains, forced)])
+
+
+def test_a_block_of_one_agent_is_one_row_of_the_per_agent_state():
+    K, domain, params = 9, ContinuousDomain(0.5, 2.0), SwarmParams(K=9, seed=7)
+    for forced in (None, np.linspace(0.5, 2.0, K)):
+        block = fresh_block(K, 7, [3], [domain], None if forced is None else [forced])
+        state = fresh_state(K, domain, 7, 3, forced)
+        assert block.state.position.shape == (1, K)
+        _assert_rows_equal(block.state, [state])
+        best = _verdict(g_idx=4, g_fit=1.0, changed=True, t=2,
+                        improved=keyed_uniforms(7, 10, 0, DRAW_INIT, K) < 0.5)
+        move_block(block, best, params)
+        apply_best(state, best, params, domain, keyed_uniforms(7, 3, 2, DRAW_R1, K),
+                   keyed_uniforms(7, 3, 2, DRAW_R2, K))
+        _assert_rows_equal(block.state, [state])
 
 
 @pytest.mark.parametrize("clamp", [False, True])
@@ -229,10 +255,10 @@ def test_apply_best_on_a_block_equals_per_agent_calls(clamp):
         r = [(keyed_uniforms(3, k, t, DRAW_R1, K), keyed_uniforms(3, k, t, DRAW_R2, K))
              for k in range(len(domains))]
         apply_best(block, best, params, bounds,
-                   np.stack([r1 for r1, _ in r], axis=1), np.stack([r2 for _, r2 in r], axis=1))
+                   np.stack([r1 for r1, _ in r]), np.stack([r2 for _, r2 in r]))
         for k, (state, domain) in enumerate(zip(states, domains)):
             apply_best(state, best, params, domain, *r[k])
-        _assert_columns_equal(block, states)
+        _assert_rows_equal(block, states)
 
 
 def test_velocity_clamp_limits_speed():
