@@ -2,12 +2,14 @@
 
 `centralized_gcpso` runs the identical swarm arithmetic on full assignments
 with no message passing, as one dense swarm stepped a block of rows at a
-time. All positions sit in one agent-major (n, K) array, and each block's
-positions are a view of its rows. A block of agents moves with
-`swarm.move_block`, the step the runtime's agents take too: one key grid per
-draw and one `apply_best` call on the block's (rows, K) arrays. A block of
-edges costs one `evaluate_edge` call on operands gathered from the
-positions. Every fitness sum is the pseudo-tree's fold
+time. Its blocks are the runtime's, `swarm.ordinal_blocks`, and each verdict
+steps every one of them once with `swarm.move_block`, as the runtime's root
+does: one key grid per draw and one `apply_best` call on the block's
+(rows, K) arrays. Here all positions then sit in one agent-major (n, K)
+array, each block's positions a view of its rows (`_keep_in`); the runtime
+keeps the generation a step replaced instead, for the envelopes that carry
+it. A block of edges costs one `evaluate_edge` call on operands gathered
+from the positions. Every fitness sum is the pseudo-tree's fold
 (`PseudoTree.fitness_slots`), the one summation order the runtime uses
 too. Every operation is the per-agent one, elementwise in the same order,
 so the gbest trace equals the distributed runtime's bit for bit, over whole
@@ -25,8 +27,7 @@ import numpy as np
 from .model import Problem, cost_columns, evaluate_edge, global_cost
 from .pseudotree import build_bfs_pseudotree
 from .runtime import AnytimeTrace, TraceRow
-from .swarm import (RootState, SwarmParams, block_rows, check_force_init, fresh_block,
-                    move_block, root_update)
+from .swarm import RootState, SwarmParams, block_rows, move_block, ordinal_blocks, root_update
 
 
 def _fold_plan(problem: Problem, rows: int):
@@ -97,19 +98,14 @@ def centralized_gcpso(problem: Problem, params: SwarmParams, iterations: int,
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    forced = check_force_init(force_init, problem.domains, params.K)
     K = params.K
     rows = block_rows(K)
     # planned first: the tree it builds is freed before the swarm's arrays exist
     aggregators, edge_blocks, child_folds = _fold_plan(problem, rows)
     position = np.empty((problem.n_agents, K))
     agent_blocks = []  # (row slice of `position`, block)
-    for lo in range(0, problem.n_agents, rows):
-        span = slice(lo, min(lo + rows, problem.n_agents))
-        agents = problem.ids[span]
-        block = fresh_block(K, params.seed, range(span.start, span.stop),
-                            [problem.domains[a] for a in agents],
-                            None if force_init is None else [forced[a] for a in agents])
+    for b, block in enumerate(ordinal_blocks(problem, params, force_init)):
+        span = slice(b * rows, b * rows + len(block.ordinals))
         agent_blocks.append((span, block))
         _keep_in(position, span, block)
     sums = np.empty((aggregators, K))

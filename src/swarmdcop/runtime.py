@@ -30,18 +30,25 @@ Delivery is synchronous: an envelope sent in round r arrives in round r+1,
 and only the agents with mail fire, in ordinal order whatever the order of
 the queue. Runs are bit-reproducible from (problem, params).
 
+The swarm steps once per verdict. Its agents sit in the centralized
+oracle's ordinal blocks (`swarm.ordinal_blocks`), and when the root judges
+iteration t it steps every block once under the verdict (`swarm.move_block`:
+one key grid per draw and one `apply_best`). A step writes into no array, so
+generation t stays intact for the envelopes, held positions and records
+that carry it. An agent reads its row of generation t until it applies
+verdict t; then its `position` is its row of t+1, which its UPDATEs carry.
+The root cannot judge t+1 before every agent has applied t, since that
+needs their edge costs of t+1. So the verdict an agent applies is the one
+the swarm was last stepped under, the same object, or the run raises.
+
 Each round is one superstep. Every agent with mail fires: it absorbs its
-inbox and runs the protocol, queuing its moves and edge costs. Absorbing,
-folding and routing an envelope are a few dict lookups each, with no scan
-over agents, neighbors or slots. Then the
-round's numeric work runs batched: the movers under each verdict step a
-block of agents at a time, one key grid per draw and one `apply_best` per
-block (`swarm.move_block`, the step the centralized oracle takes too), and
-long runs of edge costs are evaluated with one gathered `evaluate_edge`
-call. Last, each agent's records and envelopes go out, in firing order,
-carrying the arrays the batch computed; the round's sends are counted once,
-and then the root's verdicts are written to the trace. The root judges only
-in a round in which it fires alone, so each trace row counts the envelopes
+inbox and runs the protocol, queuing its edge costs. Absorbing, folding and
+routing an envelope are a few dict lookups each, with no scan over agents,
+neighbors or slots. Then long runs of the round's edge costs are evaluated
+with one gathered `evaluate_edge` call each. Last, each agent's records and
+envelopes go out, in firing order; the round's sends are counted once, and
+then the root's verdicts are written to the trace. The root judges only in
+a round in which it fires alone, so each trace row counts the envelopes
 sent up to and including the root's. Every element is computed as the
 per-agent call computes it, and the fixed fold order makes the order of the
 work within a round irrelevant, so batching changes no result.
@@ -57,7 +64,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, groupby
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -65,7 +72,7 @@ import numpy as np
 from .model import Problem, QuadraticCost, cost_columns, evaluate_edge
 from .pseudotree import PseudoTree, build_bfs_pseudotree
 from .swarm import (AgentSwarmState, BestInfo, Block, RootState, SwarmParams, block_rows,
-                    check_force_init, domain_bounds, fresh_block, move_block, root_update)
+                    move_block, ordinal_blocks, root_update)
 
 
 # A run of at least this many edge costs in one round is evaluated as one
@@ -186,22 +193,21 @@ class RoundReport:
 
 class AgentMachine:
     """One agent: holds its swarm components, acts only on received envelopes.
-    Its moves and edge costs are queued for the simulator's batched step."""
+    Its edge costs are queued for the simulator's batched evaluation."""
 
     # slots: there is one instance per agent, and on CPython 3.11 an instance
     # with more than 26 attributes carries a 1.6 KB attribute dict, not 0.3 KB
-    __slots__ = ("id", "ordinal", "domain", "params", "max_iterations", "is_root", "H", "L",
-                 "parent", "slots", "constraint_with", "on_event", "block", "row",
-                 "position", "moves", "edge_costs", "moved", "initialized",
+    __slots__ = ("id", "ordinal", "params", "max_iterations", "is_root", "H", "L",
+                 "parent", "slots", "constraint_with", "on_event", "blocks", "block", "row",
+                 "position", "edge_costs", "moved", "initialized",
                  "own_iter", "edge_done_iter", "fitness_next", "held", "fold_total", "folded",
                  "early", "root_state", "completed")
 
     def __init__(self, agent_id: str, problem: Problem, tree: PseudoTree,
                  params: SwarmParams, max_iterations: int,
-                 on_event, moves: list, edge_costs: list):
+                 on_event, blocks: list[Block], edge_costs: list):
         self.id = agent_id
         self.ordinal = problem.ordinals[agent_id]
-        self.domain = problem.domains[agent_id]
         self.params = params
         self.max_iterations = max_iterations
         self.is_root = agent_id == tree.root
@@ -212,18 +218,19 @@ class AgentMachine:
         self.constraint_with = {nbr: problem.constraint_between(agent_id, nbr) for nbr in self.H}
         self.on_event = on_event
 
-        # the components of the K particles: row `row` of a block shared with
-        # the agents that moved with this one (set up by the simulator);
-        # `position` is that row of the block's positions
-        self.block: Block | None = None
-        self.row = 0
-        self.position: np.ndarray | None = None
-        # the round's numeric work, queues shared by all agents and worked off
-        # by the simulator: (agent, verdict, its UPDATE envelopes, its Moved
-        # record) per move and (agent, held positions of H, its EDGE_FITNESS
+        # the swarm, `ordinal_blocks` shared by all agents, which the root
+        # steps under each verdict it judges; this agent's components of the
+        # K particles are row `row` of `block`, and `position` is that row of
+        # the generation it is at: the block's latest one from the moment it
+        # applies the block's verdict, the one before until then
+        self.blocks = blocks
+        rows = block_rows(params.K)
+        self.block, self.row = blocks[self.ordinal // rows], self.ordinal % rows
+        self.position = self.block.state.position[self.row]
+        # the round's edge costs, a queue shared by all agents and worked off
+        # by the simulator: (agent, held positions of H, its EDGE_FITNESS
         # envelopes) per iteration costed, whose arrays it fills in; and, if
         # observed, this agent's Moved records to emit
-        self.moves = moves
         self.edge_costs = edge_costs
         self.moved: list[Moved] | None = [] if on_event is not None else None
         self.initialized = False
@@ -248,7 +255,10 @@ class AgentMachine:
 
     @property
     def state(self) -> AgentSwarmState:
-        """This agent's components of the K particles (views of its block)."""
+        """This agent's components of the K particles in the swarm's latest
+        generation (views of its block's row). Mid-run that may be one
+        generation ahead of `position`: the root steps the swarm when it
+        judges, and the agent moves on when it applies that verdict."""
         return self.block.row(self.row)
 
     @property
@@ -257,13 +267,14 @@ class AgentMachine:
 
     def fire(self, round_no: int, inbox: list[Envelope]) -> list[Envelope]:
         """Absorb `inbox` and run the protocol as far as it goes; return the
-        envelopes sent, whose arrays the simulator fills in this round.
+        envelopes sent, whose edge costs the simulator fills in this round.
         A VALUE or UPDATE applies its verdict on arrival, if not applied yet,
         and its positions are held until this agent's edge costs go out (the
         final ones for good: no edge costs go out on them).
-        Raises on a VALUE or UPDATE the protocol cannot send this agent now
-        and on a fitness contribution that is late, duplicate or not owed
-        (see `_fold`)."""
+        Raises on a VALUE or UPDATE the protocol cannot send this agent now,
+        on a verdict other than the one the swarm was stepped under, and on
+        a fitness contribution that is late, duplicate or not owed (see
+        `_fold`)."""
         out: list[Envelope] = []
         if not self.initialized:
             self.initialized = True
@@ -287,6 +298,11 @@ class AgentMachine:
                     raise RuntimeError(
                         f"{self.id}: {kind.value} from {sender} for iteration {t} carries the "
                         f"verdict of iteration {best.iteration} before {self.id}'s edge costs of it")
+                if best is not self.block.verdict:
+                    raise RuntimeError(
+                        f"{self.id}: {kind.value} from {sender} for iteration {t} carries a "
+                        f"verdict of iteration {best.iteration} that the swarm was not "
+                        f"stepped under")
                 self._apply_update(best, round_no, out)
             if t != self.own_iter:
                 raise RuntimeError(
@@ -347,18 +363,16 @@ class AgentMachine:
         return total
 
     def _apply_update(self, best: BestInfo, round_no: int, out: list[Envelope]):
-        """Send the move under `best`; the simulator makes it this round and
-        fills the moved positions into the envelopes and the record."""
+        """Move on to the positions the swarm's step under `best` made and
+        send them down."""
         self.own_iter = t = best.iteration + 1
-        moved = None
+        self.position = position = self.block.state.position[self.row]
         if self.on_event is not None:
-            moved = Moved(round_no, self.id, t, None)
-            self.moved.append(moved)
+            self.moved.append(Moved(round_no, self.id, t, position))
         # the final verdict still floods down so every agent consumes it; the
         # `done` guard on the evaluation phase stops the cascade afterwards
-        updates = [Envelope(_UPDATE, t, self.id, j, None, None, best) for j in self.L]
-        out += updates
-        self.moves.append((self, best, updates, moved))
+        for j in self.L:
+            out.append(Envelope(_UPDATE, t, self.id, j, position, None, best))
 
     def _send_edge_costs(self, out: list[Envelope]):
         """Send this iteration's edge costs on the held positions of H; the
@@ -371,13 +385,16 @@ class AgentMachine:
         self.edge_done_iter = t
 
     def _judge(self) -> BestInfo:
-        """Judge the completed fold of iteration `fitness_next`."""
+        """Judge the completed fold of iteration `fitness_next` and step the
+        whole swarm under the verdict."""
         t = self.fitness_next
         if self.slots:
             fit = self._take_sum()
         else:
             fit = np.zeros(self.params.K)  # isolated root: empty objective
         best = root_update(self.root_state, fit, self.params, t)
+        for block in self.blocks:
+            move_block(block, best, self.params)
         self.completed.append((t, best, fit))
         self.fitness_next = t + 1
         return best
@@ -397,7 +414,7 @@ class AgentMachine:
 
 class Simulator:
     """Round executor: deliver last round's envelopes, fire recipients in
-    ordinal order, make the round's moves and edge costs batched, queue the
+    ordinal order, evaluate the round's edge costs batched, queue the
     recipients' sends for the next round.
 
     `on_event`, if given, is called with each `Envelope` as it is sent (it is
@@ -416,26 +433,13 @@ class Simulator:
         self.iterations = iterations
         self.tree = build_bfs_pseudotree(problem)
 
-        forced = check_force_init(force_init, problem.domains, params.K)
-        self._moves: list[tuple[AgentMachine, BestInfo, list[Envelope], Moved | None]] = []
+        blocks = ordinal_blocks(problem, params, force_init)
         self._edge_costs: list[tuple[AgentMachine, dict[str, np.ndarray], list[Envelope]]] = []
         self.machines = [
             AgentMachine(agent_id, problem, self.tree, params, iterations,
-                         on_event, self._moves, self._edge_costs)
+                         on_event, blocks, self._edge_costs)
             for agent_id in problem.ids
         ]
-        # each level's agents, in ordinal order, start in blocks of rows: the
-        # runs in which they move under the synchronous schedule
-        rows = block_rows(params.K)
-        levels: dict[int, list[AgentMachine]] = {}
-        for machine in self.machines:
-            levels.setdefault(self.tree.depth[machine.id], []).append(machine)
-        for level in levels.values():
-            for lo in range(0, len(level), rows):
-                run = level[lo:lo + rows]
-                self._hold(run, fresh_block(
-                    params.K, params.seed, [m.ordinal for m in run], [m.domain for m in run],
-                    None if force_init is None else [forced[m.id] for m in run]))
         self.root = self.machines[problem.ordinals[self.tree.root]]
         self.round = 0
         self.queue: list[Envelope] = []
@@ -505,70 +509,25 @@ class Simulator:
 
     def _run_round(self, round_no: int, fired: list[tuple[AgentMachine, list[Envelope]]]):
         """One superstep: every agent with mail fires in ordinal order, the
-        round's moves and edge costs run batched, then each agent's records
+        round's edge costs are evaluated batched, then each agent's records
         and envelopes go out in firing order, and last the root's verdicts.
         The root fires alone in a round in which it judges: verdict t needs
         every envelope of iteration t delivered, and none of t+1 exists
         before it. So each trace row counts the root's sends and no other
         agent's of that round."""
         sends = [machine.fire(round_no, inbox) for machine, inbox in fired]
-        if self._moves:
-            self._move()
         if self._edge_costs:
             self._evaluate_edges()
         self._register_sends(fired, sends)
         self._drain_root(round_no)
-
-    def _move(self):
-        """Make the round's moves. Each run of consecutive movers under one
-        verdict, in ordinal order, steps a block of rows at a time. A run of
-        movers that is exactly the block they are in steps that block again,
-        as every run does under the synchronous schedule; any other run is
-        copied into a new block. All movers of a round share one verdict, but
-        a lone root, which applies its verdicts in iteration order."""
-        rows = block_rows(self.params.K)
-        for _, group in groupby(self._moves, key=lambda move: move[1].iteration):
-            group = list(group)
-            best = group[0][1]
-            for lo in range(0, len(group), rows):
-                run = group[lo:lo + rows]
-                block = run[0][0].block
-                if len(block.ordinals) != len(run) or any(
-                        m.block is not block or m.row != r for r, (m, *_) in enumerate(run)):
-                    block = self._regather([m for m, *_ in run])
-                move_block(block, best, self.params)
-                for r, (machine, _, updates, moved) in enumerate(run):
-                    machine.position = block.state.position[r]
-                    for env in updates:
-                        env.values = machine.position
-                    if moved is not None:
-                        moved.position = machine.position
-        self._moves.clear()  # in place: every machine queues into this list
-
-    @staticmethod
-    def _hold(machines: list[AgentMachine], block: Block):
-        """Point each machine at its row of `block`, in order."""
-        for r, machine in enumerate(machines):
-            machine.block, machine.row = block, r
-            machine.position = block.state.position[r]
-
-    def _regather(self, machines: list[AgentMachine]) -> Block:
-        """A new block holding copies of the machines' components, in order."""
-        states = [m.state for m in machines]
-        block = Block(np.array([m.ordinal for m in machines]),
-                      domain_bounds([m.domain for m in machines]),
-                      AgentSwarmState(*(np.array([getattr(s, f) for s in states]) for f in (
-                          "position", "velocity", "pbest_component"))))
-        self._hold(machines, block)
-        return block
 
     def _evaluate_edges(self):
         """Cost the round's edge-cost sends, in firing order and in runs of a
         block of rows: a run of at least `GATHERED_EDGES` edges with one
         `evaluate_edge` call on gathered operands, a shorter run edge by edge.
         An edge's operands, in its constraint's scope order, are the
-        recipient's held positions and the sender's latest ones: those of its
-        moves this round if any, the iteration the envelope is tagged with."""
+        recipient's held positions and the sender's `position`, both of the
+        iteration the envelope is tagged with."""
         sent: list[Envelope] = []
         costs: list[QuadraticCost] = []
         xi: list[np.ndarray] = []

@@ -14,9 +14,13 @@ All update functions accept scalars or numpy arrays that broadcast together
 and keep a fixed expression shape, so vectorized and scalar evaluation round
 identically per element. Swarm state is agent-major: one row of K particle
 components per agent, a block of one agent included. The distributed runtime
-and the centralized reference both step blocks of agents with `move_block`
-(one key grid per draw, one `apply_best`) on the same keyed random draws,
-which makes their particle trajectories bit-identical.
+and the centralized reference both hold the swarm in the same blocks of
+agents in ordinal order (`ordinal_blocks`) and step every block once per
+verdict with `move_block` (one key grid per draw, one `apply_best`) on the
+same keyed random draws, which makes their particle trajectories
+bit-identical. A step replaces a block's arrays and writes into none of
+them, so the generation it stepped from stays intact for whoever still
+reads it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .model import ContinuousDomain
+from .model import ContinuousDomain, Problem
 from .rng import DRAW_INIT, DRAW_R1, DRAW_R2, keyed_uniforms
 
 # Most elements in one working array of a block of agents or edges by K
@@ -61,8 +65,10 @@ class SwarmParams:
     def __post_init__(self):
         if self.K < 1:
             raise ValueError("K must be >= 1")
-        if min(self.w, self.c1, self.c2) < 0:
-            raise ValueError("w, c1, c2 must be >= 0")
+        for name in ("w", "c1", "c2"):
+            value = getattr(self, name)
+            if not (0 <= value < math.inf):  # false for NaN
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.max_sc < 1 or self.max_fc < 1:
             raise ValueError("max_sc and max_fc must be >= 1")
         if not (0 <= self.seed <= (1 << 64) - 1):
@@ -118,11 +124,13 @@ def domain_bounds(domains: list[ContinuousDomain]) -> SimpleNamespace:
 @dataclass
 class Block:
     """An agent-major block of agents: `state` arrays of shape (rows, K), one
-    row per agent, with the rows' ordinals and `domain_bounds`."""
+    row per agent, with the rows' ordinals and `domain_bounds`, and the
+    verdict the state was last stepped under (None: the initial state)."""
 
     ordinals: np.ndarray
     bounds: SimpleNamespace
     state: AgentSwarmState
+    verdict: BestInfo | None = None
 
     def row(self, r: int) -> AgentSwarmState:
         """Agent r's components: views of row r."""
@@ -139,13 +147,30 @@ def fresh_block(K: int, seed: int, ordinals: Sequence[int], domains: list[Contin
     return Block(ordinals, bounds, fresh_state(K, bounds, seed, ordinals, forced))
 
 
+def ordinal_blocks(problem: Problem, params: SwarmParams,
+                   force_init: dict | None = None) -> list[Block]:
+    """The initial swarm of `problem`'s agents: blocks of `block_rows(K)`
+    agents in ordinal order, so agent o is row o % rows of block o // rows.
+    Positions are drawn, or forced by `force_init` (see `check_force_init`)."""
+    forced = check_force_init(force_init, problem.domains, params.K)
+    rows = block_rows(params.K)
+    blocks = []
+    for lo in range(0, problem.n_agents, rows):
+        agents = problem.ids[lo:lo + rows]
+        blocks.append(fresh_block(params.K, params.seed, range(lo, lo + len(agents)),
+                                  [problem.domains[a] for a in agents],
+                                  None if force_init is None else [forced[a] for a in agents]))
+    return blocks
+
+
 def move_block(block: Block, best: BestInfo, params: SwarmParams):
     """Step every agent of `block` under one verdict: one key grid per draw
     and one `apply_best`. Replaces the block's state arrays and writes into
-    none of them."""
+    none of them, and records `best` as the block's verdict."""
     r1 = keyed_uniforms(params.seed, block.ordinals, best.iteration, DRAW_R1, params.K)
     r2 = keyed_uniforms(params.seed, block.ordinals, best.iteration, DRAW_R2, params.K)
     apply_best(block.state, best, params, block.bounds, r1, r2)
+    block.verdict = best
 
 
 def fresh_state(K: int, domain: ContinuousDomain, seed: int, ordinal: int | np.ndarray,
@@ -263,7 +288,8 @@ def root_update(root: RootState, fitness: np.ndarray, params: SwarmParams,
 def apply_best(state: AgentSwarmState, best: BestInfo, params: SwarmParams,
                domain: ContinuousDomain, r1: np.ndarray, r2: np.ndarray):
     """Apply one verdict to an agent's state: refresh bests, then advance
-    every particle component. Mutates `state` in place.
+    every particle component. Points `state` at new arrays and writes into
+    none of its old ones.
 
     The same call steps an agent-major block of agents: `state` arrays, r1
     and r2 of shape (rows, K) and `domain_bounds` columns. The particles run

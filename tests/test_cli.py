@@ -171,6 +171,16 @@ def test_solve_rejects_malformed_force_init_naming_the_agent(fig1_files, tmp_pat
         assert message in err
 
 
+@pytest.mark.parametrize("flag", ["--w", "--c1", "--c2"])
+def test_solve_rejects_non_finite_coefficients(fig1_files, tmp_path, capsys, flag):
+    problem_path, _ = fig1_files
+    assert main(["solve", str(problem_path), "--particles", "2", "--iters", "1", flag, "nan",
+                 "--trace", str(tmp_path / "t.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {flag[2:]} must be finite and >= 0, got nan\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_bench_records_partial_failures(tmp_path, capsys):
     # scale-free with m >= n is infeasible: every instance fails, the batch
     # still completes and records nan rows, and the exit code reports it

@@ -1,6 +1,4 @@
-import gc
 import math
-import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -465,43 +463,50 @@ def test_blocks_of_a_few_agents_change_no_result(monkeypatch):
     default = Simulator(problem, params, T)
     default.run_to_quiescence()
 
-    made = []  # a weak reference to every block made
+    made = []   # every block made
+    steps = []  # (verdict, block) per move_block
 
     def tracked(*args, block_class=swarm.Block):
-        block = block_class(*args)
-        made.append(weakref.ref(block))
-        return block
+        made.append(block_class(*args))
+        return made[-1]
+
+    def spy(block, best, params, move=swarm.move_block):
+        steps.append((id(best), id(block)))
+        move(block, best, params)
 
     monkeypatch.setattr(swarm, "Block", tracked)
-    monkeypatch.setattr(runtime, "Block", tracked)
+    monkeypatch.setattr(runtime, "move_block", spy)
     monkeypatch.setattr(swarm, "BLOCK_ELEMENTS", 3 * params.K)  # blocks of 3 agents
-    levels = Counter(build_bfs_pseudotree(problem).depth.values())
-    assert max(levels.values()) > 3  # a level spans several blocks
 
-    # synchronous: each level starts in blocks of 3 and moves as those same
-    # runs every iteration, so every step reuses a block and none is gathered
-    sim = Simulator(problem, params, T)
-    assert len(made) == sum(-(-size // 3) for size in levels.values())
+    def check_blocks_and_steps(sim, rec):
+        # the set-up's ordinal blocks are the only ones, and every verdict
+        # steps each of them once
+        assert len(made) == -(-problem.n_agents // 3)
+        assert Counter(steps) == Counter((id(j.best), id(block))
+                                         for j in rec.judged for block in made)
+        assert len(rec.judged) == T
+
+    # synchronous
+    rec = Recorder()
+    sim = Simulator(problem, params, T, on_event=rec)
+    assert len(made) == -(-problem.n_agents // 3)
     assert sim.run_to_quiescence().to_csv() == default.trace.to_csv()
-    assert len(made) == sum(-(-size // 3) for size in levels.values())
+    check_blocks_and_steps(sim, rec)
     assert _components(sim) == _components(default)
     assert sim.trace.gbest_series() == centralized_gcpso(problem, params, T).gbest_series()
 
-    # shuffled: rounds move agents of several levels, so runs are regathered,
-    # and no block outlives the agents that hold it
+    # shuffled: rounds move agents of several levels, under the same blocks
     made.clear()
+    steps.clear()
     rec = Recorder()
     shuffled = Simulator(problem, params, T, on_event=rec)
     assert _run_shuffled(shuffled, 5).gbest_series() == default.trace.gbest_series()
+    check_blocks_and_steps(shuffled, rec)
     assert _components(shuffled) == _components(default)
     depths = {}
     for moved in rec.moved:
         depths.setdefault(moved.round, set()).add(shuffled.tree.depth[moved.agent])
     assert max(len(d) for d in depths.values()) >= 2
-    gc.collect()
-    live = {id(ref()) for ref in made if ref() is not None}
-    assert live == {id(m.block) for m in shuffled.machines}
-    assert len(live) <= problem.n_agents
 
 
 def test_a_lone_agent_applies_every_verdict_in_one_round():
@@ -522,9 +527,12 @@ def test_a_lone_agent_applies_every_verdict_in_one_round():
 
 
 def _assert_agent_major(sim):
-    """Every machine's components are row `row` of its block's (rows, K) arrays."""
+    """Every machine's components are row `row` of its ordinal block's
+    (rows, K) arrays."""
+    per_block = swarm.block_rows(sim.params.K)
     for machine in sim.machines:
         block, state = machine.block, machine.state
+        assert block is machine.blocks[machine.ordinal // per_block]
         assert block.ordinals[machine.row] == machine.ordinal
         assert machine.position.flags.c_contiguous
         assert machine.position.ctypes.data == block.state.position[machine.row].ctypes.data
@@ -545,8 +553,22 @@ def test_every_block_is_agent_major(problem, schedule):
     if schedule is None:
         sim.run_to_quiescence()
     else:
-        _run_shuffled(sim, schedule)  # regathers runs of movers into new blocks
+        _run_shuffled(sim, schedule)
     _assert_agent_major(sim)
+
+
+def test_a_verdict_the_swarm_was_not_stepped_under_raises(fig1, fig1_force):
+    # a copy of the verdict, equal to it field by field, is not the verdict
+    # the root stepped the swarm under
+    sim = _forced_sim(fig1, fig1_force, iterations=2)
+    while not any(env.kind is Kind.UPDATE for env in sim.queue):
+        sim.step()
+    env = next(env for env in sim.queue if env.kind is Kind.UPDATE)
+    env.best = replace(env.best)
+    with pytest.raises(RuntimeError, match=(
+            rf"^{env.recipient}: UPDATE from {env.sender} for iteration 1 carries a verdict "
+            r"of iteration 0 that the swarm was not stepped under$")):
+        sim.step()
 
 
 def test_a_nan_fitness_raises_in_both_solvers():

@@ -273,9 +273,18 @@ def test_velocity_clamp_limits_speed():
 def test_params_validation():
     with pytest.raises(ValueError):
         SwarmParams(K=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^w must be finite and >= 0, got -0.1$"):
         SwarmParams(w=-0.1)
     with pytest.raises(ValueError):
         SwarmParams(max_sc=0)
     with pytest.raises(ValueError):
         SwarmParams(seed=-1)
+
+
+@pytest.mark.parametrize("field, value", [("w", math.nan), ("c1", math.inf), ("c2", math.nan),
+                                          ("c1", -math.inf)])
+def test_params_reject_non_finite_coefficients(field, value):
+    # NaN compares false with everything: a bare `< 0` test lets it through,
+    # and the run then fails later on a NaN fitness
+    with pytest.raises(ValueError, match=rf"^{field} must be finite and >= 0, got {value}$"):
+        SwarmParams(**{field: value})
