@@ -1,15 +1,10 @@
 """Independent references for the distributed solver.
 
 `centralized_gcpso` runs the identical swarm arithmetic on full assignments
-with no message passing, as one dense swarm stepped a block of rows at a
-time. Its blocks are the runtime's, `swarm.ordinal_blocks`, and each verdict
-steps every one of them once with `swarm.move_block`, as the runtime's root
-does: one key grid per draw and one `apply_best` call on the block's
-(rows, K) arrays. Here all positions then sit in one agent-major (n, K)
-array, each block's positions a view of its rows (`_keep_in`); the runtime
-keeps the generation a step replaced instead, for the envelopes that carry
-it. A block of edges costs one `evaluate_edge` call on operands gathered
-from the positions. Every fitness sum is the pseudo-tree's fold
+with no message passing. It holds the runtime's `swarm.Swarm` and steps it
+once per verdict, as the runtime's root does, and evaluates each block of
+edges with one `evaluate_edge` call on operands gathered from the swarm's
+agent-major (n, K) positions. Every fitness sum is the pseudo-tree's fold
 (`PseudoTree.fitness_slots`), the one summation order the runtime uses
 too. Every operation is the per-agent one, elementwise in the same order,
 so the gbest trace equals the distributed runtime's bit for bit, over whole
@@ -27,7 +22,10 @@ import numpy as np
 from .model import Problem, cost_columns, evaluate_edge, global_cost
 from .pseudotree import build_bfs_pseudotree
 from .runtime import AnytimeTrace, TraceRow
-from .swarm import RootState, SwarmParams, block_rows, move_block, ordinal_blocks, root_update
+from .swarm import RootState, Swarm, SwarmParams, block_rows, root_update
+
+# refuse grids larger than this many points
+GRID_CAP = 10**7
 
 
 def _fold_plan(problem: Problem, rows: int):
@@ -80,13 +78,6 @@ def _fold_plan(problem: Problem, rows: int):
     return len(order), edge_blocks, child_folds
 
 
-def _keep_in(position: np.ndarray, span: slice, block):
-    """Copy the block's positions into its rows of `position` and make them
-    views of those rows: the positions live in `position` only."""
-    position[span] = block.state.position
-    block.state.position = position[span]
-
-
 def centralized_gcpso(problem: Problem, params: SwarmParams, iterations: int,
                       force_init: dict[str, list[float]] | None = None) -> AnytimeTrace:
     """Reference swarm over complete assignments; per-iteration gbest trace.
@@ -99,20 +90,15 @@ def centralized_gcpso(problem: Problem, params: SwarmParams, iterations: int,
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     K = params.K
-    rows = block_rows(K)
     # planned first: the tree it builds is freed before the swarm's arrays exist
-    aggregators, edge_blocks, child_folds = _fold_plan(problem, rows)
-    position = np.empty((problem.n_agents, K))
-    agent_blocks = []  # (row slice of `position`, block)
-    for b, block in enumerate(ordinal_blocks(problem, params, force_init)):
-        span = slice(b * rows, b * rows + len(block.ordinals))
-        agent_blocks.append((span, block))
-        _keep_in(position, span, block)
+    aggregators, edge_blocks, child_folds = _fold_plan(problem, block_rows(K))
+    swarm = Swarm(problem, params, force_init)
     sums = np.empty((aggregators, K))
     root = RootState(np.full(K, np.inf))
 
     trace = AnytimeTrace()
     for t in range(iterations):
+        position = swarm.position
         for cost, i, j, folds in edge_blocks:
             costs = evaluate_edge(cost, position[i], position[j])
             for cost_rows, sum_rows, first in folds:
@@ -123,10 +109,7 @@ def centralized_gcpso(problem: Problem, params: SwarmParams, iterations: int,
         for parents, children in child_folds:
             sums[parents] += sums[children]
         fitness = sums[-1] if aggregators else np.zeros(K)  # one agent: no edges
-        best = root_update(root, fitness, params, t)
-        for span, block in agent_blocks:
-            move_block(block, best, params)
-            _keep_in(position, span, block)
+        swarm.step(root_update(root, fitness, params, t))
         trace.rows.append(TraceRow(t + 1, 0, root.gbest_fitness, 0, 0))
     return trace
 
@@ -134,13 +117,10 @@ def centralized_gcpso(problem: Problem, params: SwarmParams, iterations: int,
 @dataclass(frozen=True)
 class GridSpec:
     points_per_dim: int
-    cap: int = 10**7  # refuse grids larger than this many points
 
     def __post_init__(self):
         if self.points_per_dim < 2:
             raise ValueError("points_per_dim must be >= 2")
-        if self.cap < 1:
-            raise ValueError("cap must be >= 1")
 
 
 def grid_search(problem: Problem, grid: GridSpec) -> tuple[dict[str, float], float]:
@@ -151,8 +131,8 @@ def grid_search(problem: Problem, grid: GridSpec) -> tuple[dict[str, float], flo
     """
     n = problem.n_agents
     total = grid.points_per_dim**n
-    if total > grid.cap:
-        raise ValueError(f"grid of {total} points exceeds cap {grid.cap}")
+    if total > GRID_CAP:
+        raise ValueError(f"grid of {total} points exceeds cap {GRID_CAP}")
     axes = [
         np.linspace(problem.domains[a].lower, problem.domains[a].upper, grid.points_per_dim)
         for a in problem.ids

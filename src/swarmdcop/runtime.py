@@ -30,16 +30,16 @@ Delivery is synchronous: an envelope sent in round r arrives in round r+1,
 and only the agents with mail fire, in ordinal order whatever the order of
 the queue. Runs are bit-reproducible from (problem, params).
 
-The swarm steps once per verdict. Its agents sit in the centralized
-oracle's ordinal blocks (`swarm.ordinal_blocks`), and when the root judges
-iteration t it steps every block once under the verdict (`swarm.move_block`:
-one key grid per draw and one `apply_best`). A step writes into no array, so
-generation t stays intact for the envelopes, held positions and records
-that carry it. An agent reads its row of generation t until it applies
-verdict t; then its `position` is its row of t+1, which its UPDATEs carry.
-The root cannot judge t+1 before every agent has applied t, since that
-needs their edge costs of t+1. So the verdict an agent applies is the one
-the swarm was last stepped under, the same object, or the run raises.
+The swarm steps once per verdict. All agents share one `swarm.Swarm`, as
+the centralized oracle holds one, and when the root judges iteration t it
+steps the swarm under the verdict (`Swarm.step`). A step writes into no
+array, so generation t stays intact for the envelopes, held positions and
+records that carry it. Agent o reads row o of generation t's (n, K)
+positions until it applies verdict t; then its `position` is row o of t+1,
+which its UPDATEs carry. The root cannot judge t+1 before every agent has
+applied t, since that needs their edge costs of t+1. So the verdict an
+agent applies is the one the swarm was last stepped under, the same
+object, or the run raises.
 
 Each round is one superstep. Every agent with mail fires: it absorbs its
 inbox and runs the protocol, queuing its edge costs. Absorbing, folding and
@@ -71,8 +71,8 @@ import numpy as np
 
 from .model import Problem, QuadraticCost, cost_columns, evaluate_edge
 from .pseudotree import PseudoTree, build_bfs_pseudotree
-from .swarm import (AgentSwarmState, BestInfo, Block, RootState, SwarmParams, block_rows,
-                    move_block, ordinal_blocks, root_update)
+from .swarm import (AgentSwarmState, BestInfo, RootState, Swarm, SwarmParams, block_rows,
+                    root_update)
 
 
 # A run of at least this many edge costs in one round is evaluated as one
@@ -198,14 +198,14 @@ class AgentMachine:
     # slots: there is one instance per agent, and on CPython 3.11 an instance
     # with more than 26 attributes carries a 1.6 KB attribute dict, not 0.3 KB
     __slots__ = ("id", "ordinal", "params", "max_iterations", "is_root", "H", "L",
-                 "parent", "slots", "constraint_with", "on_event", "blocks", "block", "row",
-                 "position", "edge_costs", "moved", "initialized",
+                 "parent", "slots", "constraint_with", "on_event", "swarm", "position",
+                 "edge_costs", "moved", "initialized",
                  "own_iter", "edge_done_iter", "fitness_next", "held", "fold_total", "folded",
                  "early", "root_state", "completed")
 
     def __init__(self, agent_id: str, problem: Problem, tree: PseudoTree,
                  params: SwarmParams, max_iterations: int,
-                 on_event, blocks: list[Block], edge_costs: list):
+                 on_event, swarm: Swarm, edge_costs: list):
         self.id = agent_id
         self.ordinal = problem.ordinals[agent_id]
         self.params = params
@@ -218,15 +218,12 @@ class AgentMachine:
         self.constraint_with = {nbr: problem.constraint_between(agent_id, nbr) for nbr in self.H}
         self.on_event = on_event
 
-        # the swarm, `ordinal_blocks` shared by all agents, which the root
-        # steps under each verdict it judges; this agent's components of the
-        # K particles are row `row` of `block`, and `position` is that row of
-        # the generation it is at: the block's latest one from the moment it
-        # applies the block's verdict, the one before until then
-        self.blocks = blocks
-        rows = block_rows(params.K)
-        self.block, self.row = blocks[self.ordinal // rows], self.ordinal % rows
-        self.position = self.block.state.position[self.row]
+        # the swarm, shared by all agents, which the root steps under each
+        # verdict it judges; `position` is this agent's row of the generation
+        # it is at: the latest one from the moment it applies the swarm's
+        # verdict, the one before until then
+        self.swarm = swarm
+        self.position = swarm.position[self.ordinal]
         # the round's edge costs, a queue shared by all agents and worked off
         # by the simulator: (agent, held positions of H, its EDGE_FITNESS
         # envelopes) per iteration costed, whose arrays it fills in; and, if
@@ -256,10 +253,10 @@ class AgentMachine:
     @property
     def state(self) -> AgentSwarmState:
         """This agent's components of the K particles in the swarm's latest
-        generation (views of its block's row). Mid-run that may be one
-        generation ahead of `position`: the root steps the swarm when it
-        judges, and the agent moves on when it applies that verdict."""
-        return self.block.row(self.row)
+        generation (`Swarm.row`). Mid-run that may be one generation ahead
+        of `position`: the root steps the swarm when it judges, and the
+        agent moves on when it applies that verdict."""
+        return self.swarm.row(self.ordinal)
 
     @property
     def done(self) -> bool:
@@ -298,7 +295,7 @@ class AgentMachine:
                     raise RuntimeError(
                         f"{self.id}: {kind.value} from {sender} for iteration {t} carries the "
                         f"verdict of iteration {best.iteration} before {self.id}'s edge costs of it")
-                if best is not self.block.verdict:
+                if best is not self.swarm.verdict:
                     raise RuntimeError(
                         f"{self.id}: {kind.value} from {sender} for iteration {t} carries a "
                         f"verdict of iteration {best.iteration} that the swarm was not "
@@ -366,7 +363,7 @@ class AgentMachine:
         """Move on to the positions the swarm's step under `best` made and
         send them down."""
         self.own_iter = t = best.iteration + 1
-        self.position = position = self.block.state.position[self.row]
+        self.position = position = self.swarm.position[self.ordinal]
         if self.on_event is not None:
             self.moved.append(Moved(round_no, self.id, t, position))
         # the final verdict still floods down so every agent consumes it; the
@@ -393,8 +390,7 @@ class AgentMachine:
         else:
             fit = np.zeros(self.params.K)  # isolated root: empty objective
         best = root_update(self.root_state, fit, self.params, t)
-        for block in self.blocks:
-            move_block(block, best, self.params)
+        self.swarm.step(best)
         self.completed.append((t, best, fit))
         self.fitness_next = t + 1
         return best
@@ -433,11 +429,11 @@ class Simulator:
         self.iterations = iterations
         self.tree = build_bfs_pseudotree(problem)
 
-        blocks = ordinal_blocks(problem, params, force_init)
+        self.swarm = Swarm(problem, params, force_init)
         self._edge_costs: list[tuple[AgentMachine, dict[str, np.ndarray], list[Envelope]]] = []
         self.machines = [
             AgentMachine(agent_id, problem, self.tree, params, iterations,
-                         on_event, blocks, self._edge_costs)
+                         on_event, self.swarm, self._edge_costs)
             for agent_id in problem.ids
         ]
         self.root = self.machines[problem.ordinals[self.tree.root]]

@@ -13,20 +13,21 @@ reads it from the personal bests at the verdict's gbest index.
 All update functions accept scalars or numpy arrays that broadcast together
 and keep a fixed expression shape, so vectorized and scalar evaluation round
 identically per element. Swarm state is agent-major: one row of K particle
-components per agent, a block of one agent included. The distributed runtime
-and the centralized reference both hold the swarm in the same blocks of
-agents in ordinal order (`ordinal_blocks`) and step every block once per
-verdict with `move_block` (one key grid per draw, one `apply_best`) on the
-same keyed random draws, which makes their particle trajectories
-bit-identical. A step replaces a block's arrays and writes into none of
-them, so the generation it stepped from stays intact for whoever still
+components per agent, a block of one agent included. `Swarm` is the one
+owner of the layout: the distributed runtime and the centralized reference
+both hold one and step it once per verdict (one key grid per draw and one
+`apply_best` per block of agents) on the same keyed random draws, which
+makes their particle trajectories bit-identical. Each generation's
+positions are one (n, K) array; a step makes a new one and writes into no
+old array, so the generation it stepped from stays intact for whoever still
 reads it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+import operator
+import os
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -63,6 +64,15 @@ class SwarmParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("K", "max_sc", "max_fc", "seed"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                # numpy integers become Python ints, which the keyed streams take
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.K < 1:
             raise ValueError("K must be >= 1")
         for name in ("w", "c1", "c2"):
@@ -121,56 +131,56 @@ def domain_bounds(domains: list[ContinuousDomain]) -> SimpleNamespace:
     return SimpleNamespace(lower=lower, upper=upper, width=upper - lower)
 
 
-@dataclass
-class Block:
-    """An agent-major block of agents: `state` arrays of shape (rows, K), one
-    row per agent, with the rows' ordinals and `domain_bounds`, and the
-    verdict the state was last stepped under (None: the initial state)."""
+class Swarm:
+    """The swarm of `problem`'s agents and the one owner of its layout.
 
-    ordinals: np.ndarray
-    bounds: SimpleNamespace
-    state: AgentSwarmState
-    verdict: BestInfo | None = None
+    The agents sit in blocks of `block_rows(K)` in ordinal order; each block
+    steps with one key grid per draw and one `apply_best` on its (rows, K)
+    arrays. Each generation's positions are one agent-major (n, K) array,
+    `position`, whose rows o are agent o's and whose block rows are views of
+    it. `step` writes the next generation into a fresh array and writes into
+    no old one, so a generation stays intact for whoever still reads it.
+    `verdict` is the verdict of the last step (None: the initial swarm).
+    """
 
-    def row(self, r: int) -> AgentSwarmState:
-        """Agent r's components: views of row r."""
-        s = self.state
-        return AgentSwarmState(s.position[r], s.velocity[r], s.pbest_component[r])
+    def __init__(self, problem: Problem, params: SwarmParams, force_init: dict | None = None):
+        n, K = problem.n_agents, params.K
+        need = 3 * 8 * n * K  # positions, velocities and personal bests
+        if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+            raise MemoryError(f"a swarm of n={n} agents by K={K} particles needs {need} bytes, "
+                              f"more than this machine's physical memory")
+        forced = check_force_init(force_init, problem.domains, K)
+        self.params, self.verdict = params, None
+        self.position = np.empty((n, K))
+        self._rows = rows = block_rows(K)
+        self._blocks = []  # (rows of `position`, their ordinals, domain_bounds, state)
+        for lo in range(0, n, rows):
+            agents = problem.ids[lo:lo + rows]
+            span, ordinals = slice(lo, lo + len(agents)), np.arange(lo, lo + len(agents))
+            bounds = domain_bounds([problem.domains[a] for a in agents])
+            state = fresh_state(K, bounds, params.seed, ordinals,
+                                None if force_init is None else [forced[a] for a in agents])
+            self.position[span] = state.position
+            state.position = self.position[span]
+            self._blocks.append((span, ordinals, bounds, state))
 
+    def row(self, o: int) -> AgentSwarmState:
+        """Agent o's components of the K particles: views of its rows."""
+        b, r = divmod(o, self._rows)
+        *_, state = self._blocks[b]
+        return AgentSwarmState(self.position[o], state.velocity[r], state.pbest_component[r])
 
-def fresh_block(K: int, seed: int, ordinals: Sequence[int], domains: list[ContinuousDomain],
-                forced: list[np.ndarray] | None = None) -> Block:
-    """The initial block of the agents `ordinals`, row r with domain
-    `domains[r]` and, if given, forced positions `forced[r]` (see
-    `fresh_state`)."""
-    ordinals, bounds = np.array(ordinals), domain_bounds(domains)
-    return Block(ordinals, bounds, fresh_state(K, bounds, seed, ordinals, forced))
-
-
-def ordinal_blocks(problem: Problem, params: SwarmParams,
-                   force_init: dict | None = None) -> list[Block]:
-    """The initial swarm of `problem`'s agents: blocks of `block_rows(K)`
-    agents in ordinal order, so agent o is row o % rows of block o // rows.
-    Positions are drawn, or forced by `force_init` (see `check_force_init`)."""
-    forced = check_force_init(force_init, problem.domains, params.K)
-    rows = block_rows(params.K)
-    blocks = []
-    for lo in range(0, problem.n_agents, rows):
-        agents = problem.ids[lo:lo + rows]
-        blocks.append(fresh_block(params.K, params.seed, range(lo, lo + len(agents)),
-                                  [problem.domains[a] for a in agents],
-                                  None if force_init is None else [forced[a] for a in agents]))
-    return blocks
-
-
-def move_block(block: Block, best: BestInfo, params: SwarmParams):
-    """Step every agent of `block` under one verdict: one key grid per draw
-    and one `apply_best`. Replaces the block's state arrays and writes into
-    none of them, and records `best` as the block's verdict."""
-    r1 = keyed_uniforms(params.seed, block.ordinals, best.iteration, DRAW_R1, params.K)
-    r2 = keyed_uniforms(params.seed, block.ordinals, best.iteration, DRAW_R2, params.K)
-    apply_best(block.state, best, params, block.bounds, r1, r2)
-    block.verdict = best
+    def step(self, best: BestInfo):
+        """Step every block once under `best` into a fresh `position`."""
+        params, t = self.params, best.iteration
+        position = np.empty_like(self.position)
+        for span, ordinals, bounds, state in self._blocks:
+            r1 = keyed_uniforms(params.seed, ordinals, t, DRAW_R1, params.K)
+            r2 = keyed_uniforms(params.seed, ordinals, t, DRAW_R2, params.K)
+            apply_best(state, best, params, bounds, r1, r2)
+            position[span] = state.position
+            state.position = position[span]
+        self.position, self.verdict = position, best
 
 
 def fresh_state(K: int, domain: ContinuousDomain, seed: int, ordinal: int | np.ndarray,

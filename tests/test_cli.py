@@ -181,6 +181,14 @@ def test_solve_rejects_non_finite_coefficients(fig1_files, tmp_path, capsys, fla
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_solve_refuses_a_swarm_beyond_physical_memory(fig1_files, capsys):
+    problem_path, _ = fig1_files
+    rc = main(["solve", str(problem_path), "--particles", "1125899906842624", "--iters", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: a swarm of n=4 agents by K=1125899906842624 particles needs {96 * 2**50} bytes")
+
+
 def test_bench_records_partial_failures(tmp_path, capsys):
     # scale-free with m >= n is infeasible: every instance fails, the batch
     # still completes and records nan rows, and the exit code reports it

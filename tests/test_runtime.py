@@ -463,33 +463,39 @@ def test_blocks_of_a_few_agents_change_no_result(monkeypatch):
     default = Simulator(problem, params, T)
     default.run_to_quiescence()
 
-    made = []   # every block made
-    steps = []  # (verdict, block) per move_block
+    made = []   # every swarm made
+    steps = []  # (verdict, swarm) per Swarm.step
+    moves = []  # one per apply_best: a block step
 
-    def tracked(*args, block_class=swarm.Block):
-        made.append(block_class(*args))
-        return made[-1]
+    def tracked(self, *args, init=swarm.Swarm.__init__):
+        made.append(self)
+        init(self, *args)
 
-    def spy(block, best, params, move=swarm.move_block):
-        steps.append((id(best), id(block)))
-        move(block, best, params)
+    def spy(self, best, step=swarm.Swarm.step):
+        steps.append((id(best), id(self)))
+        step(self, best)
 
-    monkeypatch.setattr(swarm, "Block", tracked)
-    monkeypatch.setattr(runtime, "move_block", spy)
+    def counted(*args, apply=swarm.apply_best):
+        moves.append(None)
+        apply(*args)
+
+    monkeypatch.setattr(swarm.Swarm, "__init__", tracked)
+    monkeypatch.setattr(swarm.Swarm, "step", spy)
+    monkeypatch.setattr(swarm, "apply_best", counted)
     monkeypatch.setattr(swarm, "BLOCK_ELEMENTS", 3 * params.K)  # blocks of 3 agents
 
     def check_blocks_and_steps(sim, rec):
-        # the set-up's ordinal blocks are the only ones, and every verdict
-        # steps each of them once
-        assert len(made) == -(-problem.n_agents // 3)
-        assert Counter(steps) == Counter((id(j.best), id(block))
-                                         for j in rec.judged for block in made)
+        # the set-up's swarm is the only one, every verdict steps it once,
+        # and each step moves its blocks of 3 agents once each
+        assert made == [sim.swarm]
+        assert Counter(steps) == Counter((id(j.best), id(sim.swarm)) for j in rec.judged)
         assert len(rec.judged) == T
+        assert len(moves) == T * -(-problem.n_agents // 3)
 
     # synchronous
     rec = Recorder()
     sim = Simulator(problem, params, T, on_event=rec)
-    assert len(made) == -(-problem.n_agents // 3)
+    assert made == [sim.swarm]
     assert sim.run_to_quiescence().to_csv() == default.trace.to_csv()
     check_blocks_and_steps(sim, rec)
     assert _components(sim) == _components(default)
@@ -498,6 +504,7 @@ def test_blocks_of_a_few_agents_change_no_result(monkeypatch):
     # shuffled: rounds move agents of several levels, under the same blocks
     made.clear()
     steps.clear()
+    moves.clear()
     rec = Recorder()
     shuffled = Simulator(problem, params, T, on_event=rec)
     assert _run_shuffled(shuffled, 5).gbest_series() == default.trace.gbest_series()
@@ -527,19 +534,19 @@ def test_a_lone_agent_applies_every_verdict_in_one_round():
 
 
 def _assert_agent_major(sim):
-    """Every machine's components are row `row` of its ordinal block's
-    (rows, K) arrays."""
-    per_block = swarm.block_rows(sim.params.K)
+    """Every machine's components are views of row `ordinal` of the swarm's
+    agent-major arrays, its positions of the (n, K) `position`."""
+    position = sim.swarm.position
+    assert position.shape == (sim.problem.n_agents, sim.params.K)
     for machine in sim.machines:
-        block, state = machine.block, machine.state
-        assert block is machine.blocks[machine.ordinal // per_block]
-        assert block.ordinals[machine.row] == machine.ordinal
+        state = machine.state
         assert machine.position.flags.c_contiguous
-        assert machine.position.ctypes.data == block.state.position[machine.row].ctypes.data
+        assert machine.position.ctypes.data == position[machine.ordinal].ctypes.data
+        assert state.position.ctypes.data == position[machine.ordinal].ctypes.data
         for f in ("position", "velocity", "pbest_component"):
-            rows = getattr(block.state, f)
-            assert rows.shape == (len(block.ordinals), sim.params.K)
-            assert getattr(state, f).ctypes.data == rows[machine.row].ctypes.data
+            row = getattr(state, f)
+            assert row.shape == (sim.params.K,) and row.flags.c_contiguous
+            assert row.base is not None and row.base.shape[1:] == (sim.params.K,)
 
 
 @pytest.mark.parametrize("schedule", [None, 3], ids=["synchronous", "shuffled"])
@@ -598,6 +605,17 @@ def test_force_init_validation(fig1):
     poisoned["x3"] = [float("nan"), 0.0]
     with pytest.raises(ValueError, match="finite"):
         Simulator(fig1, params, 1, force_init=poisoned).run_to_quiescence()
+
+
+def test_a_swarm_beyond_physical_memory_is_refused_before_allocating(fig1):
+    # 3 * 8 * 4 * 2**50 bytes: positions, velocities and personal bests; the
+    # check comes first, so this allocates nothing
+    params = SwarmParams(K=2**50, seed=0)
+    match = rf"^a swarm of n=4 agents by K={2**50} particles needs {96 * 2**50} bytes"
+    with pytest.raises(MemoryError, match=match):
+        Simulator(fig1, params, 1)
+    with pytest.raises(MemoryError, match=match):
+        centralized_gcpso(fig1, params, 1)
 
 
 def test_update_envelopes_batch_values_and_verdict(fig1, fig1_force):

@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from swarmdcop import ContinuousDomain, SwarmParams
+from swarmdcop import ContinuousDomain, GenSpec, Problem, SwarmParams, generate, swarm
 from swarmdcop.rng import DRAW_INIT, DRAW_R1, DRAW_R2, keyed_uniforms
 from swarmdcop.swarm import (
     BestInfo,
     RootState,
+    Swarm,
     apply_best,
     domain_bounds,
-    fresh_block,
     fresh_state,
-    move_block,
     position_update,
     rho_update,
     root_update,
@@ -208,6 +207,11 @@ def test_apply_best_refreshes_components_from_judged_positions():
     assert state.position[1] == pytest.approx(before[1], abs=1.0)  # within rho
 
 
+def _assert_row_equal(row, state):
+    for f in ("position", "velocity", "pbest_component"):
+        assert getattr(row, f).tobytes() == getattr(state, f).tobytes()
+
+
 def _assert_rows_equal(block, states):
     for k, state in enumerate(states):
         for f in ("position", "velocity", "pbest_component"):
@@ -227,17 +231,40 @@ def test_fresh_state_of_a_block_equals_per_agent_states():
 
 def test_a_block_of_one_agent_is_one_row_of_the_per_agent_state():
     K, domain, params = 9, ContinuousDomain(0.5, 2.0), SwarmParams(K=9, seed=7)
+    problem = Problem(domains={"x1": domain}, constraints=[])
     for forced in (None, np.linspace(0.5, 2.0, K)):
-        block = fresh_block(K, 7, [3], [domain], None if forced is None else [forced])
-        state = fresh_state(K, domain, 7, 3, forced)
-        assert block.state.position.shape == (1, K)
-        _assert_rows_equal(block.state, [state])
+        one = Swarm(problem, params, None if forced is None else {"x1": forced})
+        state = fresh_state(K, domain, 7, 0, forced)
+        assert one.position.shape == (1, K)
+        _assert_row_equal(one.row(0), state)
         best = _verdict(g_idx=4, g_fit=1.0, changed=True, t=2,
                         improved=keyed_uniforms(7, 10, 0, DRAW_INIT, K) < 0.5)
-        move_block(block, best, params)
-        apply_best(state, best, params, domain, keyed_uniforms(7, 3, 2, DRAW_R1, K),
-                   keyed_uniforms(7, 3, 2, DRAW_R2, K))
-        _assert_rows_equal(block.state, [state])
+        one.step(best)
+        apply_best(state, best, params, domain, keyed_uniforms(7, 0, 2, DRAW_R1, K),
+                   keyed_uniforms(7, 0, 2, DRAW_R2, K))
+        assert one.verdict is best
+        _assert_row_equal(one.row(0), state)
+
+
+def test_rows_are_views_of_the_positions_and_a_step_writes_into_no_old_array(monkeypatch):
+    monkeypatch.setattr(swarm, "BLOCK_ELEMENTS", 3 * 5)  # blocks of 3 agents, the last of 1
+    problem, params = generate(GenSpec("erdos_renyi", 7, 2, p=0.5)), SwarmParams(K=5, seed=6)
+    sw = Swarm(problem, params)
+    fields = ("position", "velocity", "pbest_component")
+    for t in range(3):
+        before = sw.position
+        rows = [sw.row(o) for o in range(problem.n_agents)]
+        for o, row in enumerate(rows):
+            assert np.shares_memory(row.position, sw.position[o])
+            assert row.position.ctypes.data == sw.position[o].ctypes.data
+        taken = [before.tobytes()] + [getattr(row, f).tobytes() for row in rows for f in fields]
+        best = _verdict(g_idx=t, g_fit=1.0, changed=True, t=t,
+                        improved=keyed_uniforms(6, 20 + t, 0, DRAW_INIT, 5) < 0.5)
+        sw.step(best)
+        assert sw.verdict is best
+        assert not np.shares_memory(sw.position, before)
+        assert [before.tobytes()] + [getattr(row, f).tobytes()
+                                     for row in rows for f in fields] == taken
 
 
 @pytest.mark.parametrize("clamp", [False, True])
@@ -279,6 +306,20 @@ def test_params_validation():
         SwarmParams(max_sc=0)
     with pytest.raises(ValueError):
         SwarmParams(seed=-1)
+
+
+@pytest.mark.parametrize("field, value", [("K", 2.5), ("K", True), ("K", "3"), ("max_sc", 1.5),
+                                          ("max_fc", False), ("seed", 1.5), ("seed", None)])
+def test_params_reject_non_integer_integer_fields(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value!r}$"):
+        SwarmParams(**{field: value})
+
+
+def test_params_take_numpy_integers_as_python_ints():
+    params = SwarmParams(K=np.int64(3), max_sc=np.int32(2), max_fc=np.uint8(4),
+                         seed=np.uint64((1 << 64) - 1))
+    assert (params.K, params.max_sc, params.max_fc, params.seed) == (3, 2, 4, (1 << 64) - 1)
+    assert all(type(v) is int for v in (params.K, params.max_sc, params.max_fc, params.seed))
 
 
 @pytest.mark.parametrize("field, value", [("w", math.nan), ("c1", math.inf), ("c2", math.nan),
