@@ -73,12 +73,24 @@ class Constraint:
 
 
 def evaluate_edge(cost: QuadraticCost, xi, xj):
-    """Evaluate one edge cost. Accepts scalars or equal-shape numpy arrays.
+    """Evaluate one edge cost. The coefficients, `xi` and `xj` may be scalars
+    or numpy arrays of any shapes that broadcast together (`cost_columns`
+    and (E, K) operands; `global_cost` on grid axes); the result has their
+    broadcast shape, and no operand is written.
 
-    The expression shape (a*xi*xi + b*xi*xj) + c*xj*xj is fixed so scalar and
-    vectorized evaluation round identically per element.
+    Every element is (a*xi*xi + b*xi*xj) + c*xj*xj, each product and sum
+    rounded in that order, so scalar and vectorized evaluation round
+    identically. The cross term is the fresh output, since only it has the
+    broadcast shape; the squares are added into it in place.
     """
-    return cost.a * xi * xi + cost.b * xi * xj + cost.c * xj * xj
+    out = cost.b * xi * xj
+    term = cost.a * xi
+    term *= xi
+    out += term  # a*xi*xi + b*xi*xj: a sum rounds the same in either order
+    term = cost.c * xj
+    term *= xj
+    out += term
+    return out
 
 
 def cost_columns(costs: Sequence[QuadraticCost]) -> SimpleNamespace:

@@ -22,7 +22,7 @@ import numpy as np
 from .model import Problem, cost_columns, evaluate_edge, global_cost
 from .pseudotree import build_bfs_pseudotree
 from .runtime import AnytimeTrace, TraceRow
-from .swarm import RootState, Swarm, SwarmParams, block_rows, root_update
+from .swarm import RootState, Swarm, SwarmParams, block_rows, integer_field, root_update
 
 # refuse grids larger than this many points
 GRID_CAP = 10**7
@@ -119,6 +119,8 @@ class GridSpec:
     points_per_dim: int
 
     def __post_init__(self):
+        object.__setattr__(self, "points_per_dim",
+                           integer_field("points_per_dim", self.points_per_dim))
         if self.points_per_dim < 2:
             raise ValueError("points_per_dim must be >= 2")
 

@@ -10,17 +10,27 @@ rho to the agents, which keep only their particle components: position,
 velocity and personal best. The global-best component is not stored; a step
 reads it from the personal bests at the verdict's gbest index.
 
-All update functions accept scalars or numpy arrays that broadcast together
-and keep a fixed expression shape, so vectorized and scalar evaluation round
-identically per element. Swarm state is agent-major: one row of K particle
-components per agent, a block of one agent included. `Swarm` is the one
-owner of the layout: the distributed runtime and the centralized reference
-both hold one and step it once per verdict (one key grid per draw and one
-`apply_best` per block of agents) on the same keyed random draws, which
-makes their particle trajectories bit-identical. Each generation's
-positions are one (n, K) array; a step makes a new one and writes into no
-old array, so the generation it stepped from stays intact for whoever still
-reads it.
+All update functions accept scalars or numpy arrays that broadcast to the
+shape of the positions `x` and keep a fixed expression shape, so vectorized
+and scalar evaluation round identically per element. Each computes into one
+fresh output with augmented or `out=` operations, in the written operation
+order, and writes into none of its arguments. Swarm state is agent-major:
+one row of K particle components per agent, a block of one agent included.
+`Swarm` is the one owner of the layout: the distributed runtime and the
+centralized reference both hold one and step it once per verdict (one key
+grid per draw and one `apply_best` per block of agents) on the same keyed
+random draws, which makes their particle trajectories bit-identical. Each
+generation's positions are one (n, K) array; a step makes a new one and
+writes into no old array, so the generation it stepped from stays intact
+for whoever still reads it.
+
+A step makes about 30 numpy calls per block, so with few agents a block
+their overhead is much of its cost. Computing in place halves a step's
+block-sized temporaries, which pays for blocks four times larger than when
+every term made its own (`BLOCK_ELEMENTS`): at K=2000 a block holds 8
+agents, and a step of 20 agents runs 3 blocks, not 10. On the benchmark's
+er20-k2000 that took the distributed solve from 1.32 to 0.99 s (medians of
+10 alternating 40-s pairs, 2 vCPUs), with 2.5% more peak memory.
 """
 
 from __future__ import annotations
@@ -38,16 +48,28 @@ from .rng import DRAW_INIT, DRAW_R1, DRAW_R2, keyed_uniforms
 
 # Most elements in one working array of a block of agents or edges by K
 # particles (at least one row): the bound on its working set. On the solve
-# benchmark (2 vCPUs, one pass per workload), against per-agent calls, whole
-# (n, K) and (E, K) arrays in the centralized reference raised peak_rss_mb by
-# 23% on sf1600-k50 and 17% on er20-k2000; blocks of 8192 by 3.4% and 2.4%;
-# blocks of 4096 by 2.7% and 1.3%. 2048 was slower at K=2000.
-BLOCK_ELEMENTS = 4096
+# benchmark (2 vCPUs, two 15-s runs per size, means), against 4096 with one
+# temporary per term: in-place kernels at 4096, 8192 and 16384 gave
+# er20-k2000 solve_s 0.86x, 0.78x and 0.76x, centralized_s 0.84x, 0.69x and
+# 0.66x, and peak_rss_mb +0.0%, +0.5% and +2.3% (sf1600-k50: +0.0%, +0.7%,
+# +2.3%). Whole (n, K) and (E, K) arrays had raised peak_rss_mb by 17-23%.
+BLOCK_ELEMENTS = 16384
 
 
 def block_rows(K: int) -> int:
     """Agents or edges per block at K particles."""
     return max(1, BLOCK_ELEMENTS // K)
+
+
+def integer_field(name: str, value) -> int:
+    """`value` as a Python int; a bool or a non-integer raises a ValueError
+    that names the field."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -65,14 +87,8 @@ class SwarmParams:
 
     def __post_init__(self):
         for name in ("K", "max_sc", "max_fc", "seed"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                # numpy integers become Python ints, which the keyed streams take
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            # numpy integers become Python ints, which the keyed streams take
+            object.__setattr__(self, name, integer_field(name, getattr(self, name)))
         if self.K < 1:
             raise ValueError("K must be >= 1")
         for name in ("w", "c1", "c2"):
@@ -234,18 +250,32 @@ def check_force_init(force_init: dict | None, domains: dict[str, ContinuousDomai
 
 
 def velocity_standard(v, x, pbest_c, gbest_c, w, c1, c2, r1, r2):
-    """Inertia plus personal-best and global-best pulls."""
-    return w * v + r1 * c1 * (pbest_c - x) + r2 * c2 * (gbest_c - x)
+    """Inertia plus personal-best and global-best pulls:
+    (w*v + r1*c1*(pbest_c - x)) + r2*c2*(gbest_c - x)."""
+    out = pbest_c - x
+    out *= r1 * c1
+    out += w * v  # a product or a sum rounds the same in either operand order
+    pull = gbest_c - x
+    pull *= r2 * c2
+    out += pull
+    return out
 
 
 def velocity_gbest(v, x, gbest_c, w, rho, r2):
-    """Global-best particle: land on gbest, keep inertia, perturb within rho."""
-    return -x + gbest_c + w * v + rho * (1.0 - 2.0 * r2)
+    """Global-best particle: land on gbest, keep inertia, perturb within rho:
+    ((-x + gbest_c) + w*v) + rho*(1 - 2*r2)."""
+    out = -x
+    out += gbest_c
+    out += w * v
+    out += rho * (1.0 - 2.0 * r2)
+    return out
 
 
 def position_update(x, v_new, domain: ContinuousDomain):
-    """x + v, clamped into the box domain."""
-    return np.minimum(np.maximum(x + v_new, domain.lower), domain.upper)
+    """x + v, clamped into the box domain (a 0-d array for scalar operands)."""
+    out = np.asarray(x + v_new)
+    np.maximum(out, domain.lower, out=out)
+    return np.minimum(out, domain.upper, out=out)
 
 
 def rho_update(rho: float, s_c: int, f_c: int, max_sc: int, max_fc: int, t: int) -> float:
@@ -299,7 +329,7 @@ def apply_best(state: AgentSwarmState, best: BestInfo, params: SwarmParams,
                domain: ContinuousDomain, r1: np.ndarray, r2: np.ndarray):
     """Apply one verdict to an agent's state: refresh bests, then advance
     every particle component. Points `state` at new arrays and writes into
-    none of its old ones.
+    none of its arguments: not its old arrays, r1, r2, `best` or `domain`.
 
     The same call steps an agent-major block of agents: `state` arrays, r1
     and r2 of shape (rows, K) and `domain_bounds` columns. The particles run
@@ -315,6 +345,7 @@ def apply_best(state: AgentSwarmState, best: BestInfo, params: SwarmParams,
     v_new[..., g] = velocity_gbest(state.velocity[..., g], state.position[..., g],
                                    gbest_component, params.w, best.rho, r2[..., g])
     if params.clamp_velocity:
-        v_new = np.minimum(np.maximum(v_new, -domain.width), domain.width)
+        np.maximum(v_new, -domain.width, out=v_new)
+        np.minimum(v_new, domain.width, out=v_new)
     state.velocity = v_new
     state.position = position_update(state.position, v_new, domain)

@@ -211,6 +211,18 @@ def test_grid_cap_enforced(fig1):
         GridSpec(points_per_dim=1)
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+def test_grid_spec_rejects_non_integer_points(value):
+    with pytest.raises(ValueError, match=f"points_per_dim must be an integer, got {value!r}"):
+        GridSpec(points_per_dim=value)
+
+
+def test_grid_spec_takes_numpy_integers_as_python_ints(fig1):
+    grid = GridSpec(points_per_dim=np.int64(5))
+    assert type(grid.points_per_dim) is int
+    assert grid_search(fig1, grid) == grid_search(fig1, GridSpec(points_per_dim=5))
+
+
 def test_grid_tie_breaks_lexicographic():
     # x1^2 - x2^2 ties at x2 = +/-10 for every x1; smallest x2 wins, and the
     # smallest |x1| beats larger ones outright
