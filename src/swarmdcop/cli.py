@@ -99,7 +99,10 @@ def _load_force_init(path: str | None) -> dict | None:
     if path is None:
         return None
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"force-init file: malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("force-init file must map agent ids to position lists")
     return doc  # the solvers check each agent's entry before any agent starts

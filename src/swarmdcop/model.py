@@ -11,7 +11,7 @@ The solvers sum fitness in the pseudo-tree's order instead (see
 from __future__ import annotations
 
 import json
-import math
+from math import inf, isfinite
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
@@ -29,7 +29,7 @@ class ContinuousDomain:
     upper: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+        if not (isfinite(self.lower) and isfinite(self.upper)):
             raise ProblemFormatError("domain bounds must be finite")
         if not self.lower < self.upper:
             raise ProblemFormatError(
@@ -50,9 +50,9 @@ class QuadraticCost:
     c: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c"):
-            if not math.isfinite(getattr(self, name)):
-                raise ProblemFormatError(f"coefficient {name} must be finite")
+        if not (isfinite(self.a) and isfinite(self.b) and isfinite(self.c)):
+            name = next(name for name in "abc" if not isfinite(getattr(self, name)))
+            raise ProblemFormatError(f"coefficient {name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,12 @@ def is_connected(nodes: Iterable, edges: Iterable[tuple]) -> bool:
     for u, v in edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
+    return _reaches_all(adjacency)
+
+
+def _reaches_all(adjacency: Mapping) -> bool:
+    """True iff a walk from the first node of the adjacency map {node:
+    neighbors} reaches every node."""
     start = next(iter(adjacency))
     seen = {start}
     frontier = [start]
@@ -124,14 +130,15 @@ class Problem:
     """An instance: agents (id -> box domain) plus binary constraints.
 
     Agents are stored in alphabetical id order; ordinals index into that
-    order. Immutable by convention after construction.
+    order. `adjacency` maps each agent to {neighbor: the constraint
+    between them}. Immutable by convention after construction.
     """
 
     domains: dict[str, ContinuousDomain]
     constraints: list[Constraint]
     ids: list[str] = field(init=False)
     ordinals: dict[str, int] = field(init=False)
-    _by_pair: dict[frozenset[str], Constraint] = field(init=False, repr=False, compare=False)
+    adjacency: dict[str, dict[str, Constraint]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.domains:
@@ -139,33 +146,26 @@ class Problem:
         self.ids = sorted(self.domains)
         self.domains = {a: self.domains[a] for a in self.ids}
         self.ordinals = {a: k for k, a in enumerate(self.ids)}
-        self._by_pair = {}
+        self.adjacency = adjacency = {a: {} for a in self.ids}
         for idx, con in enumerate(self.constraints):
-            for end in (con.i, con.j):
-                if end not in self.domains:
-                    raise ProblemFormatError(
-                        f"constraints[{idx}].scope: unknown agent {end!r}"
-                    )
-            pair = frozenset((con.i, con.j))
-            if pair in self._by_pair:
+            i, j = con.i, con.j
+            if i not in adjacency or j not in adjacency:
+                end = i if i not in adjacency else j
+                raise ProblemFormatError(f"constraints[{idx}].scope: unknown agent {end!r}")
+            if j in adjacency[i]:
                 raise ProblemFormatError(
-                    f"constraints[{idx}]: duplicate constraint between {con.i!r} and {con.j!r}"
-                )
-            self._by_pair[pair] = con
-        if not is_connected(self.ids, (con.scope for con in self.constraints)):
+                    f"constraints[{idx}]: duplicate constraint between {i!r} and {j!r}")
+            adjacency[i][j] = adjacency[j][i] = con
+        if not _reaches_all(adjacency):
             raise ProblemFormatError("constraint graph is not connected")
 
     def neighbors(self) -> dict[str, list[str]]:
         """Adjacency lists in alphabetical order."""
-        adjacency: dict[str, list[str]] = {a: [] for a in self.ids}
-        for con in self.constraints:
-            adjacency[con.i].append(con.j)
-            adjacency[con.j].append(con.i)
-        return {a: sorted(nbrs) for a, nbrs in adjacency.items()}
+        return {a: sorted(nbrs) for a, nbrs in self.adjacency.items()}
 
     def constraint_between(self, u: str, v: str) -> Constraint:
         try:
-            return self._by_pair[frozenset((u, v))]
+            return self.adjacency[u][v]
         except KeyError:
             raise KeyError(f"no constraint between {u!r} and {v!r}") from None
 
@@ -186,15 +186,19 @@ def global_cost(problem: Problem, assignment: Mapping[str, float]) -> float:
     return total
 
 
-def _require(condition: bool, path: str, message: str):
-    if not condition:
-        raise ProblemFormatError(f"{path}: {message}")
-
-
-def _finite_number(value, path: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
-    value = float(value)
-    _require(math.isfinite(value), path, "number must be finite")
+def _finite_number(value, path: str, *at) -> float:
+    """`value` as a float if it is a finite JSON number; else raise, naming
+    the field `path % at`. A finite float needs no call: callers test for one
+    first."""
+    if type(value) is not float:
+        if type(value) is not int:  # true and false load as bools, not numbers
+            raise ProblemFormatError(f"{path % at}: expected a number")
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = inf
+    if not isfinite(value):
+        raise ProblemFormatError(f"{path % at}: number must be finite")
     return value
 
 
@@ -203,47 +207,72 @@ def _reject_constant(name):
 
 
 def parse_problem(text: str) -> Problem:
-    """Parse the UTF-8 JSON problem document. Errors carry field paths."""
+    """Parse the UTF-8 JSON problem document. Errors carry field paths.
+
+    The checks run in document order, and the first that fails names the
+    error; each tests its condition first and formats its message only when
+    it fails."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"malformed JSON: {exc}") from exc
-    _require(isinstance(doc, dict), "$", "expected a JSON object")
-    _require("agents" in doc, "$", "missing key 'agents'")
-    _require("constraints" in doc, "$", "missing key 'constraints'")
-    _require(isinstance(doc["agents"], list), "agents", "expected a list")
-    _require(isinstance(doc["constraints"], list), "constraints", "expected a list")
+    if not isinstance(doc, dict):
+        raise ProblemFormatError("$: expected a JSON object")
+    for key in ("agents", "constraints"):
+        if key not in doc:
+            raise ProblemFormatError(f"$: missing key {key!r}")
+    for key in ("agents", "constraints"):
+        if not isinstance(doc[key], list):
+            raise ProblemFormatError(f"{key}: expected a list")
 
     domains: dict[str, ContinuousDomain] = {}
     for idx, entry in enumerate(doc["agents"]):
-        path = f"agents[{idx}]"
-        _require(isinstance(entry, dict), path, "expected an object")
+        if not isinstance(entry, dict):
+            raise ProblemFormatError(f"agents[{idx}]: expected an object")
         agent = entry.get("id")
-        _require(isinstance(agent, str) and agent, f"{path}.id", "expected a non-empty string")
-        _require(agent not in domains, f"{path}.id", f"duplicate agent id {agent!r}")
+        if not (isinstance(agent, str) and agent):
+            raise ProblemFormatError(f"agents[{idx}].id: expected a non-empty string")
+        if agent in domains:
+            raise ProblemFormatError(f"agents[{idx}].id: duplicate agent id {agent!r}")
         dom = entry.get("domain")
-        _require(isinstance(dom, list) and len(dom) == 2, f"{path}.domain", "expected [lower, upper]")
-        lower = _finite_number(dom[0], f"{path}.domain[0]")
-        upper = _finite_number(dom[1], f"{path}.domain[1]")
-        _require(lower < upper, f"{path}.domain", "lower bound must be < upper bound")
+        if not (isinstance(dom, list) and len(dom) == 2):
+            raise ProblemFormatError(f"agents[{idx}].domain: expected [lower, upper]")
+        lower, upper = dom
+        if not (type(lower) is float and type(upper) is float and isfinite(lower)
+                and isfinite(upper)):
+            lower = _finite_number(lower, "agents[%d].domain[0]", idx)
+            upper = _finite_number(upper, "agents[%d].domain[1]", idx)
+        if not lower < upper:
+            raise ProblemFormatError(f"agents[{idx}].domain: lower bound must be < upper bound")
         domains[agent] = ContinuousDomain(lower, upper)
 
     constraints: list[Constraint] = []
     for idx, entry in enumerate(doc["constraints"]):
-        path = f"constraints[{idx}]"
-        _require(isinstance(entry, dict), path, "expected an object")
+        if not isinstance(entry, dict):
+            raise ProblemFormatError(f"constraints[{idx}]: expected an object")
         scope = entry.get("scope")
-        _require(isinstance(scope, list) and len(scope) == 2, f"{path}.scope", "expected [i, j]")
+        if not (isinstance(scope, list) and len(scope) == 2):
+            raise ProblemFormatError(f"constraints[{idx}].scope: expected [i, j]")
         i, j = scope
-        for pos, end in enumerate(scope):
-            _require(isinstance(end, str), f"{path}.scope[{pos}]", "expected an agent id")
-            _require(end in domains, f"{path}.scope[{pos}]", f"unknown agent {end!r}")
-        _require(i != j, f"{path}.scope", "scope endpoints must differ")
-        coeffs = {}
-        for name in ("a", "b", "c"):
-            _require(name in entry, f"{path}.{name}", "missing coefficient")
-            coeffs[name] = _finite_number(entry[name], f"{path}.{name}")
-        constraints.append(Constraint(i, j, QuadraticCost(**coeffs)))
+        if not (isinstance(i, str) and i in domains and isinstance(j, str) and j in domains):
+            for pos, end in enumerate(scope):
+                if not isinstance(end, str):
+                    raise ProblemFormatError(
+                        f"constraints[{idx}].scope[{pos}]: expected an agent id")
+                if end not in domains:
+                    raise ProblemFormatError(
+                        f"constraints[{idx}].scope[{pos}]: unknown agent {end!r}")
+        if i == j:
+            raise ProblemFormatError(f"constraints[{idx}].scope: scope endpoints must differ")
+        coeffs = []
+        for name in "abc":
+            value = entry.get(name)
+            if not (type(value) is float and isfinite(value)):
+                if name not in entry:
+                    raise ProblemFormatError(f"constraints[{idx}].{name}: missing coefficient")
+                value = _finite_number(value, "constraints[%d].%s", idx, name)
+            coeffs.append(value)
+        constraints.append(Constraint(i, j, QuadraticCost(*coeffs)))
 
     return Problem(domains=domains, constraints=constraints)
 

@@ -18,7 +18,6 @@ from it owes the agent no such contribution.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .model import Problem
@@ -44,33 +43,41 @@ class PseudoTree:
 
 def build_bfs_pseudotree(problem: Problem) -> PseudoTree:
     """BFS from the alphabetically smallest id, neighbors visited alphabetically."""
-    adjacency = problem.neighbors()
+    adjacency = problem.adjacency
     root = problem.ids[0]
     depth = {root: 0}
     parent: dict[str, str] = {}
     children: dict[str, list[str]] = {a: [] for a in problem.ids}
-    queue = deque([root])
-    while queue:
-        current = queue.popleft()
-        for nbr in adjacency[current]:
-            if nbr not in depth:
-                depth[nbr] = depth[current] + 1
-                parent[nbr] = current
-                children[current].append(nbr)
-                queue.append(nbr)
+    bfs = [root]
+    for current in bfs:  # grows as agents are found
+        found = sorted([nbr for nbr in adjacency[current] if nbr not in depth])
+        for nbr in found:
+            depth[nbr] = depth[current] + 1
+            parent[nbr] = current
+        children[current] = found
+        bfs += found
 
-    tree = PseudoTree(root=root, depth=depth, parent=parent, children=children, H={}, L={},
-                      d=max(depth.values()), fitness_slots={})
+    # walk the agents highest priority first and enter each into its
+    # neighbors' lists: into the L of those already walked, which outrank it,
+    # and into the H of the rest; so every list fills in priority order
+    H: dict[str, list[str]] = {a: [] for a in problem.ids}
+    L: dict[str, list[str]] = {a: [] for a in problem.ids}
+    walked = set()
+    for agent in sorted(problem.ids, key=depth.__getitem__):  # stable: ties stay alphabetical
+        for nbr in adjacency[agent]:
+            (L if nbr in walked else H)[nbr].append(agent)
+        walked.add(agent)
+
+    fitness_slots: dict[str, dict[tuple[str, bool], int]] = {}
     for agent in problem.ids:
-        ranked = sorted(adjacency[agent] + [agent], key=tree.priority_key)
-        at = ranked.index(agent)
-        tree.H[agent], tree.L[agent] = ranked[:at], ranked[at + 1:]
-    for agent in problem.ids:
-        lower = tree.L[agent]
-        senders = lower + [child for child in children[agent] if tree.L[child]]
-        tree.fitness_slots[agent] = {(sender, slot >= len(lower)): slot
-                                     for slot, sender in enumerate(senders)}
-    return tree
+        slots = fitness_slots[agent] = {}
+        for sender in L[agent]:
+            slots[(sender, False)] = len(slots)
+        for child in children[agent]:
+            if L[child]:
+                slots[(child, True)] = len(slots)
+    return PseudoTree(root=root, depth=depth, parent=parent, children=children, H=H, L=L,
+                      d=depth[bfs[-1]], fitness_slots=fitness_slots)
 
 
 def priority_less(tree: PseudoTree, i: str, j: str) -> bool:

@@ -76,9 +76,12 @@ from .swarm import (AgentSwarmState, BestInfo, RootState, Swarm, SwarmParams, bl
 
 
 # A run of at least this many edge costs in one round is evaluated as one
-# gathered call; below it, copying the operands together costs more than the
-# calls it saves (2-vCPU machine: 8 edges at K=500 took 65 us one by one and
-# 71 us gathered, 20 edges at K=200 176 us and 86 us).
+# gathered call, a shorter one edge by edge. With the in-place kernels,
+# gathering pays from a few edges at small K but not at large K (2-vCPU
+# machine, best of 7: 8 edges at K=500 took 34-37 us one by one and 29-31 us
+# gathered, 4 edges at K=200 16-17 and 14 us, 4 edges at K=2000 32-37 and
+# 48-53 us, 20 edges at K=200 81-83 and 35-36 us). A lower threshold has yet
+# to show a gain end to end.
 GATHERED_EDGES = 12
 
 
@@ -215,7 +218,8 @@ class AgentMachine:
         self.L = tree.L[agent_id]
         self.parent = tree.parent.get(agent_id)
         self.slots = tree.fitness_slots[agent_id]
-        self.constraint_with = {nbr: problem.constraint_between(agent_id, nbr) for nbr in self.H}
+        constraints = problem.adjacency[agent_id]
+        self.constraint_with = {nbr: constraints[nbr] for nbr in self.H}
         self.on_event = on_event
 
         # the swarm, shared by all agents, which the root steps under each

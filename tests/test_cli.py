@@ -171,6 +171,29 @@ def test_solve_rejects_malformed_force_init_naming_the_agent(fig1_files, tmp_pat
         assert message in err
 
 
+def test_solve_names_a_force_init_file_that_is_not_json(fig1_files, tmp_path, capsys):
+    problem_path, _ = fig1_files
+    force_path = tmp_path / "bad_force.json"
+    force_path.write_text("x1: [0, 1]\n", encoding="utf-8")
+    for oracle in ([], ["--oracle", "centralized"]):
+        assert main(["solve", str(problem_path), "--particles", "2", "--iters", "1",
+                     "--force-init", str(force_path), "--trace", str(tmp_path / "t.csv")]
+                    + oracle) == 1
+        assert capsys.readouterr().err == (
+            "error: force-init file: malformed JSON: Expecting value: line 1 column 1 (char 0)\n")
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_solve_reports_an_oversized_integer_with_its_path(tmp_path, capsys):
+    problem_path = tmp_path / "huge.json"
+    problem_path.write_text(
+        '{"agents": [{"id": "x1", "domain": [-1, 1%s]}], "constraints": []}' % ("0" * 400),
+        encoding="utf-8")
+    assert main(["solve", str(problem_path), "--particles", "2", "--iters", "1",
+                 "--trace", str(tmp_path / "t.csv")]) == 1
+    assert capsys.readouterr().err == "error: agents[0].domain[1]: number must be finite\n"
+
+
 @pytest.mark.parametrize("flag", ["--w", "--c1", "--c2"])
 def test_solve_rejects_non_finite_coefficients(fig1_files, tmp_path, capsys, flag):
     problem_path, _ = fig1_files

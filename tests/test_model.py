@@ -180,3 +180,92 @@ def test_fig1_force_matches_domains(fig1):
     for agent, positions in FIG1_FORCE.items():
         dom = fig1.domains[agent]
         assert all(dom.lower <= v <= dom.upper for v in positions)
+
+
+def _doc(agents='{"id": "x1", "domain": [-1, 1]}, {"id": "x2", "domain": [-1, 1]}',
+         constraints='{"scope": ["x1", "x2"], "a": 1, "b": 0, "c": 0}') -> str:
+    return f'{{"agents": [{agents}], "constraints": [{constraints}]}}'
+
+
+# one case per check of parse_problem, in the order the checks run
+@pytest.mark.parametrize("text, message", [
+    pytest.param("[]", "$: expected a JSON object", id="not-an-object"),
+    pytest.param('{"constraints": []}', "$: missing key 'agents'", id="agents-missing"),
+    pytest.param('{"agents": []}', "$: missing key 'constraints'", id="constraints-missing"),
+    pytest.param('{"agents": {}, "constraints": []}', "agents: expected a list",
+                 id="agents-not-a-list"),
+    pytest.param('{"agents": [], "constraints": 3}', "constraints: expected a list",
+                 id="constraints-not-a-list"),
+    pytest.param("{nope", "malformed JSON: Expecting property name enclosed in double quotes: "
+                 "line 1 column 2 (char 1)", id="malformed-json"),
+    pytest.param(_doc(agents='{"id": "x1", "domain": [NaN, 1]}', constraints=""),
+                 "non-finite literal 'NaN' is not allowed", id="nan-literal"),
+    pytest.param('{"agents": [], "constraints": []}', "problem needs at least one agent",
+                 id="no-agents"),
+    pytest.param(_doc(agents="[]", constraints=""), "agents[0]: expected an object",
+                 id="agent-not-an-object"),
+    pytest.param(_doc(agents='{"domain": [-1, 1]}', constraints=""),
+                 "agents[0].id: expected a non-empty string", id="id-missing"),
+    pytest.param(_doc(agents='{"id": "", "domain": [-1, 1]}', constraints=""),
+                 "agents[0].id: expected a non-empty string", id="id-empty"),
+    pytest.param(_doc(agents='{"id": 3, "domain": [-1, 1]}', constraints=""),
+                 "agents[0].id: expected a non-empty string", id="id-not-a-string"),
+    pytest.param(_doc(agents='{"id": "x1", "domain": [-1, 1]}, {"id": "x1", "domain": [0, 1]}'),
+                 "agents[1].id: duplicate agent id 'x1'", id="id-duplicate"),
+    pytest.param(_doc(agents='{"id": "x1"}', constraints=""),
+                 "agents[0].domain: expected [lower, upper]", id="domain-missing"),
+    pytest.param(_doc(agents='{"id": "x1", "domain": [-1, 0, 1]}', constraints=""),
+                 "agents[0].domain: expected [lower, upper]", id="domain-not-a-pair"),
+    pytest.param(_doc(agents='{"id": "x1", "domain": [-1, "1"]}', constraints=""),
+                 "agents[0].domain[1]: expected a number", id="bound-a-string"),
+    pytest.param(_doc(agents='{"id": "x1", "domain": [false, 1]}', constraints=""),
+                 "agents[0].domain[0]: expected a number", id="bound-a-bool"),
+    pytest.param(_doc(agents='{"id": "x1", "domain": [-1, 1e999]}', constraints=""),
+                 "agents[0].domain[1]: number must be finite", id="bound-not-finite"),
+    pytest.param(_doc(agents='{"id": "x1", "domain": [1, 1]}', constraints=""),
+                 "agents[0].domain: lower bound must be < upper bound", id="bounds-not-ordered"),
+    pytest.param(_doc(constraints="[]"), "constraints[0]: expected an object",
+                 id="constraint-not-an-object"),
+    pytest.param(_doc(constraints='{"a": 1, "b": 0, "c": 0}'),
+                 "constraints[0].scope: expected [i, j]", id="scope-missing"),
+    pytest.param(_doc(constraints='{"scope": ["x1"], "a": 1, "b": 0, "c": 0}'),
+                 "constraints[0].scope: expected [i, j]", id="scope-not-a-pair"),
+    pytest.param(_doc(constraints='{"scope": ["x1", 2], "a": 1, "b": 0, "c": 0}'),
+                 "constraints[0].scope[1]: expected an agent id", id="scope-end-not-a-string"),
+    pytest.param(_doc(constraints='{"scope": ["x9", "x2"], "a": 1, "b": 0, "c": 0}'),
+                 "constraints[0].scope[0]: unknown agent 'x9'", id="scope-end-unknown"),
+    pytest.param(_doc(constraints='{"scope": ["x1", "x1"], "a": 1, "b": 0, "c": 0}'),
+                 "constraints[0].scope: scope endpoints must differ", id="self-loop"),
+    pytest.param(_doc(constraints='{"scope": ["x1", "x2"], "b": 0, "c": 0}'),
+                 "constraints[0].a: missing coefficient", id="coefficient-missing"),
+    pytest.param(_doc(constraints='{"scope": ["x1", "x2"], "a": 1, "b": -1e999, "c": 0}'),
+                 "constraints[0].b: number must be finite", id="coefficient-not-finite"),
+    pytest.param(_doc(constraints='{"scope": ["x1", "x2"], "a": 1, "b": 0, "c": null}'),
+                 "constraints[0].c: expected a number", id="coefficient-not-a-number"),
+    pytest.param(_doc(constraints='{"scope": ["x1", "x2"], "a": 1, "b": 0, "c": 0}, '
+                                  '{"scope": ["x2", "x1"], "a": 0, "b": 0, "c": 1}'),
+                 "constraints[1]: duplicate constraint between 'x2' and 'x1'",
+                 id="duplicate-pair"),
+    pytest.param(_doc(agents='{"id": "x1", "domain": [-1, 1]}, {"id": "x2", "domain": [-1, 1]}, '
+                             '{"id": "x3", "domain": [-1, 1]}'),
+                 "constraint graph is not connected", id="disconnected"),
+])
+def test_parse_reports_each_fault_with_its_path(text, message):
+    with pytest.raises(ProblemFormatError) as exc:
+        parse_problem(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param(_doc(agents='{"id": "x1", "domain": [-1, 1%s]}' % ("0" * 400), constraints=""),
+                 "agents[0].domain[1]: number must be finite", id="upper-bound"),
+    pytest.param(_doc(agents='{"id": "x1", "domain": [-1%s, 1]}' % ("0" * 400), constraints=""),
+                 "agents[0].domain[0]: number must be finite", id="lower-bound"),
+    pytest.param(_doc(constraints='{"scope": ["x1", "x2"], "a": 1%s, "b": 0, "c": 0}'
+                      % ("0" * 400)),
+                 "constraints[0].a: number must be finite", id="coefficient"),
+])
+def test_parse_reports_an_oversized_integer_with_its_path(text, message):
+    with pytest.raises(ProblemFormatError) as exc:
+        parse_problem(text)
+    assert str(exc.value) == message

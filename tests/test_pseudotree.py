@@ -10,9 +10,13 @@ from swarmdcop import (
     QuadraticCost,
     build_bfs_pseudotree,
     generate,
+    parse_problem,
     priority_less,
+    serialize_problem,
 )
 from swarmdcop.pseudotree import render
+from swarmdcop.runtime import Simulator
+from swarmdcop.swarm import SwarmParams
 
 
 def test_worked_example_tree(fig1):
@@ -111,3 +115,41 @@ def test_tree_structure_invariants(seed, n, topology):
         assert list(slots) == ([(j, False) for j in sorted(tree.L[agent], key=tree.priority_key)]
                                + [(c, True) for c in aggregating])
         assert list(slots.values()) == list(range(len(slots)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("topology, n", [
+    ("erdos_renyi", 1), ("erdos_renyi", 2), ("erdos_renyi", 30),
+    ("scale_free", 2), ("scale_free", 3), ("scale_free", 60),
+    ("random_tree", 1), ("random_tree", 2), ("random_tree", 40),
+])
+def test_partition_is_the_sorted_neighbors_split_at_the_agent(topology, n, seed):
+    m = min(2, n - 1) if topology == "scale_free" else 2
+    problem = generate(GenSpec(topology=topology, n=n, seed=seed, m=m))
+    tree = build_bfs_pseudotree(problem)
+    for agent in problem.ids:
+        # the neighbors from the constraint list, not from Problem.adjacency
+        nbrs = ([con.j for con in problem.constraints if con.i == agent]
+                + [con.i for con in problem.constraints if con.j == agent])
+        ranked = sorted(nbrs + [agent], key=lambda a: (tree.depth[a], a))
+        at = ranked.index(agent)
+        assert tree.H[agent] == ranked[:at]
+        assert tree.L[agent] == ranked[at + 1:]
+
+
+@pytest.mark.parametrize("spec", [
+    GenSpec(topology="scale_free", n=1600, seed=0, m=2),
+    GenSpec(topology="erdos_renyi", n=20, seed=3),
+    GenSpec(topology="random_tree", n=50, seed=1),
+], ids=["sf1600", "er20", "tree50"])
+def test_a_round_trip_builds_the_same_tree_and_lookups(spec):
+    problem = generate(spec)
+    again = parse_problem(serialize_problem(problem))
+    tree, tree_again = build_bfs_pseudotree(problem), build_bfs_pseudotree(again)
+    assert tree_again == tree
+    assert ([list(slots.items()) for slots in tree_again.fitness_slots.values()]
+            == [list(slots.items()) for slots in tree.fitness_slots.values()])
+    params = SwarmParams(K=2, seed=0)
+    machines = [Simulator(p, params, 1).machines for p in (problem, again)]
+    assert ([list(m.constraint_with.items()) for m in machines[1]]
+            == [list(m.constraint_with.items()) for m in machines[0]])
