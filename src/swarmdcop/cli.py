@@ -21,7 +21,7 @@ from .model import ContinuousDomain, load_problem, save_problem
 from .oracle import GridSpec, centralized_gcpso, grid_search
 from .rng import derive_seed
 from .runtime import Judged, RoundReport, Simulator
-from .swarm import SwarmParams
+from .swarm import SwarmParams, iteration_count
 
 OUT_DIR_ENV = "SWARMDCOP_OUT_DIR"
 
@@ -163,8 +163,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _echo_config("bench", args)
     if args.instances < 1:
         raise ValueError("a bench needs at least one instance")
-    if args.iters < 1:
-        raise ValueError("iterations must be >= 1")
+    iteration_count(args.iters)
     out = _out_dir(args.out_dir)
     rows: list[str] = []
     finals: list[float] = []

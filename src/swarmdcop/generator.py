@@ -13,6 +13,7 @@ documented order, so a (spec, seed) pair always yields the same instance.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -41,6 +42,8 @@ class GenSpec:
             raise ValueError("edge probability p must be in (0, 1]")
         if self.topology == "scale_free" and not (1 <= self.m < self.n):
             raise ValueError(f"scale_free needs 1 <= m < n, got m={self.m}, n={self.n}")
+        if not all(math.isfinite(bound) for bound in self.coeff_range):
+            raise ValueError(f"coeff_range must be finite, got {self.coeff_range}")
         if self.coeff_range[0] > self.coeff_range[1]:
             raise ValueError("coeff_range lower bound exceeds upper bound")
         if self.topology not in ("erdos_renyi", "scale_free", "random_tree"):

@@ -67,10 +67,6 @@ class Constraint:
         if self.i == self.j:
             raise ProblemFormatError(f"constraint scope ({self.i}, {self.j}) is a self-loop")
 
-    @property
-    def scope(self) -> tuple[str, str]:
-        return (self.i, self.j)
-
 
 def evaluate_edge(cost: QuadraticCost, xi, xj):
     """Evaluate one edge cost. The coefficients, `xi` and `xj` may be scalars

@@ -22,7 +22,8 @@ import numpy as np
 from .model import Problem, cost_columns, evaluate_edge, global_cost
 from .pseudotree import build_bfs_pseudotree
 from .runtime import AnytimeTrace, TraceRow
-from .swarm import RootState, Swarm, SwarmParams, block_rows, integer_field, root_update
+from .swarm import (RootState, Swarm, SwarmParams, block_rows, integer_field, iteration_count,
+                    root_update)
 
 # refuse grids larger than this many points
 GRID_CAP = 10**7
@@ -87,8 +88,7 @@ def centralized_gcpso(problem: Problem, params: SwarmParams, iterations: int,
     evaluated a block at a time and added slot by slot, then each level's
     child aggregates are added, deepest level first.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    iterations = iteration_count(iterations)
     K = params.K
     # planned first: the tree it builds is freed before the swarm's arrays exist
     aggregators, edge_blocks, child_folds = _fold_plan(problem, block_rows(K))

@@ -86,20 +86,3 @@ def priority_less(tree: PseudoTree, i: str, j: str) -> bool:
         if agent not in tree.depth:
             raise KeyError(f"unknown agent {agent!r}")
     return tree.priority_key(i) > tree.priority_key(j)
-
-
-def render(tree: PseudoTree) -> str:
-    """Text dump of depths, parents and H/L sets, for docs and diagnostics."""
-    lines = [f"root: {tree.root}   max depth: {tree.d}"]
-    for agent in sorted(tree.depth, key=tree.priority_key):
-        lines.append(
-            "  {a}: depth={d} parent={p} H={{{h}}} L={{{l}}} expects={e}".format(
-                a=agent,
-                d=tree.depth[agent],
-                p=tree.parent.get(agent, "-"),
-                h=",".join(tree.H[agent]),
-                l=",".join(tree.L[agent]),
-                e=len(tree.fitness_slots[agent]),
-            )
-        )
-    return "\n".join(lines)

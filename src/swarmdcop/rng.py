@@ -57,8 +57,11 @@ def derive_seed(seed: int, index: int) -> int:
     return stream_key(seed, index)
 
 
-_S30, _S27, _S31, _U53 = (np.uint64(s) for s in (30, 27, 31, 11))
-_M1, _M2 = np.uint64(_MIX1), np.uint64(_MIX2)
+# 0-d arrays rather than numpy scalars: as the operand of an operation on a
+# few words, a 0-d array cost 0.5 us a call against 0.7-0.9 us for a numpy
+# scalar (timeit, numpy 2.4, 2 vCPUs)
+_S30, _S27, _S31, _U53, _M1, _M2 = (np.array(c, dtype=np.uint64)
+                                    for c in (30, 27, 31, 11, _MIX1, _MIX2))
 
 
 def _mix64_inplace(z: np.ndarray) -> np.ndarray:
@@ -79,24 +82,6 @@ def _counter_steps(n: int) -> np.ndarray:
     return steps
 
 
-# Up to this many rows, a key grid hashes each row's key with Python ints
-# (about 2 us a row on a 2-vCPU machine) rather than as one array (the ~25
-# array operations cost 15-20 us whatever the rows).
-_ROWS_HASHED_ONE_BY_ONE = 8
-
-
-def _row_keys(seed: int, ordinals: np.ndarray, iteration: int, draw: int) -> np.ndarray:
-    """stream_key(seed, ordinal, iteration, draw) of each ordinal, as uint64."""
-    if ordinals.size <= _ROWS_HASHED_ONE_BY_ONE:
-        return np.array([stream_key(seed, o, iteration, draw) for o in ordinals.tolist()],
-                        dtype=np.uint64)
-    # absorb(h, w) = mix64(h + (GOLDEN + w)), applied to every ordinal's h at once
-    h = ordinals.astype(np.uint64) + np.uint64((seed + GOLDEN) & MASK64)
-    for word in (iteration, draw):
-        h = _mix64_inplace(h) + np.uint64((GOLDEN + word) & MASK64)
-    return _mix64_inplace(h)
-
-
 def keyed_uniforms(seed: int, ordinal: int | np.ndarray, iteration: int, draw: int,
                    n: int) -> np.ndarray:
     """Return n doubles in [0, 1) for a (seed, agent, iteration, draw) stream.
@@ -106,16 +91,20 @@ def keyed_uniforms(seed: int, ordinal: int | np.ndarray, iteration: int, draw: i
     tuple always yields the same vector, regardless of evaluation order.
 
     `ordinal` may also be a 1-D numpy array of ordinals: the result then has
-    one row of n doubles per ordinal, each bit-identical to the scalar call,
-    mixed as one key grid.
+    one row of n doubles per ordinal, each bit-identical to the scalar call.
+    Every key grid, a scalar ordinal's one row included, is mixed as one array.
     """
-    if not isinstance(ordinal, np.ndarray):
-        z = _counter_steps(n) + np.uint64(stream_key(seed, ordinal, iteration, draw))
-    else:
-        z = _row_keys(seed, ordinal, iteration, draw)[:, None] + _counter_steps(n)
+    ordinals = np.asarray(ordinal)
+    # stream_key of every ordinal at once: absorb(h, w) = mix64(h + (GOLDEN + w)),
+    # and the first absorb, of the ordinal into the seed, adds the same words
+    h = ordinals.reshape(-1).astype(np.uint64)
+    for word in (seed, iteration, draw):
+        h += np.array((GOLDEN + word) & MASK64, dtype=np.uint64)
+        _mix64_inplace(h)
+    z = h[:, None] + _counter_steps(n)
     bits = _mix64_inplace(z)
     bits >>= _U53
-    return np.multiply(bits, 2.0**-53)
+    return np.multiply(bits, 2.0**-53).reshape(ordinals.shape + (n,))
 
 
 class SplitMix64:

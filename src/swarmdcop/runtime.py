@@ -72,16 +72,14 @@ import numpy as np
 from .model import Problem, QuadraticCost, cost_columns, evaluate_edge
 from .pseudotree import PseudoTree, build_bfs_pseudotree
 from .swarm import (AgentSwarmState, BestInfo, RootState, Swarm, SwarmParams, block_rows,
-                    root_update)
+                    iteration_count, root_update)
 
 
 # A run of at least this many edge costs in one round is evaluated as one
-# gathered call, a shorter one edge by edge. With the in-place kernels,
-# gathering pays from a few edges at small K but not at large K (2-vCPU
-# machine, best of 7: 8 edges at K=500 took 34-37 us one by one and 29-31 us
-# gathered, 4 edges at K=200 16-17 and 14 us, 4 edges at K=2000 32-37 and
-# 48-53 us, 20 edges at K=200 81-83 and 35-36 us). A lower threshold has yet
-# to show a gain end to end.
+# gathered call, a shorter one edge by edge. Gathering every run (a threshold
+# of 1) did not pay end to end: solve_s 1.03-1.15x on er20-k2000, whose runs
+# are all shorter than 12, against 0.93-1.16x on er20-k200 and 1.00x on
+# sf1600-k50 (in process, alternating, medians of 5-9 solves, 2 vCPUs).
 GATHERED_EDGES = 12
 
 
@@ -200,18 +198,16 @@ class AgentMachine:
 
     # slots: there is one instance per agent, and on CPython 3.11 an instance
     # with more than 26 attributes carries a 1.6 KB attribute dict, not 0.3 KB
-    __slots__ = ("id", "ordinal", "params", "max_iterations", "is_root", "H", "L",
-                 "parent", "slots", "constraint_with", "on_event", "swarm", "position",
+    __slots__ = ("id", "ordinal", "max_iterations", "is_root", "H", "L",
+                 "parent", "slots", "constraint_with", "swarm", "position",
                  "edge_costs", "moved", "initialized",
                  "own_iter", "edge_done_iter", "fitness_next", "held", "fold_total", "folded",
                  "early", "root_state", "completed")
 
     def __init__(self, agent_id: str, problem: Problem, tree: PseudoTree,
-                 params: SwarmParams, max_iterations: int,
-                 on_event, swarm: Swarm, edge_costs: list):
+                 max_iterations: int, on_event, swarm: Swarm, edge_costs: list):
         self.id = agent_id
         self.ordinal = problem.ordinals[agent_id]
-        self.params = params
         self.max_iterations = max_iterations
         self.is_root = agent_id == tree.root
         self.H = tree.H[agent_id]
@@ -220,7 +216,6 @@ class AgentMachine:
         self.slots = tree.fitness_slots[agent_id]
         constraints = problem.adjacency[agent_id]
         self.constraint_with = {nbr: constraints[nbr] for nbr in self.H}
-        self.on_event = on_event
 
         # the swarm, shared by all agents, which the root steps under each
         # verdict it judges; `position` is this agent's row of the generation
@@ -246,7 +241,7 @@ class AgentMachine:
         self.folded = 0
         self.early: dict[int, np.ndarray] | None = None
         # root-only running bests, rho controller and completed verdicts
-        self.root_state = RootState(np.full(params.K, np.inf)) if self.is_root else None
+        self.root_state = RootState(np.full(swarm.params.K, np.inf)) if self.is_root else None
         self.completed: list[tuple[int, BestInfo, np.ndarray]] | None = (
             [] if self.is_root else None)
 
@@ -279,7 +274,7 @@ class AgentMachine:
         out: list[Envelope] = []
         if not self.initialized:
             self.initialized = True
-            if self.on_event is not None:
+            if self.moved is not None:
                 self.moved.append(Moved(round_no, self.id, 0, self.position))
             for j in self.L:
                 out.append(Envelope(_VALUE, 0, self.id, j, self.position))
@@ -368,7 +363,7 @@ class AgentMachine:
         send them down."""
         self.own_iter = t = best.iteration + 1
         self.position = position = self.swarm.position[self.ordinal]
-        if self.on_event is not None:
+        if self.moved is not None:
             self.moved.append(Moved(round_no, self.id, t, position))
         # the final verdict still floods down so every agent consumes it; the
         # `done` guard on the evaluation phase stops the cascade afterwards
@@ -389,11 +384,12 @@ class AgentMachine:
         """Judge the completed fold of iteration `fitness_next` and step the
         whole swarm under the verdict."""
         t = self.fitness_next
+        params = self.swarm.params
         if self.slots:
             fit = self._take_sum()
         else:
-            fit = np.zeros(self.params.K)  # isolated root: empty objective
-        best = root_update(self.root_state, fit, self.params, t)
+            fit = np.zeros(params.K)  # isolated root: empty objective
+        best = root_update(self.root_state, fit, params, t)
         self.swarm.step(best)
         self.completed.append((t, best, fit))
         self.fitness_next = t + 1
@@ -425,8 +421,7 @@ class Simulator:
     def __init__(self, problem: Problem, params: SwarmParams, iterations: int,
                  force_init: dict[str, list[float]] | None = None,
                  on_event: Callable[[object], None] | None = None):
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        iterations = iteration_count(iterations)
         self.on_event = on_event
         self.problem = problem
         self.params = params
@@ -436,8 +431,8 @@ class Simulator:
         self.swarm = Swarm(problem, params, force_init)
         self._edge_costs: list[tuple[AgentMachine, dict[str, np.ndarray], list[Envelope]]] = []
         self.machines = [
-            AgentMachine(agent_id, problem, self.tree, params, iterations,
-                         on_event, self.swarm, self._edge_costs)
+            AgentMachine(agent_id, problem, self.tree, iterations, on_event, self.swarm,
+                         self._edge_costs)
             for agent_id in problem.ids
         ]
         self.root = self.machines[problem.ordinals[self.tree.root]]

@@ -72,6 +72,15 @@ def integer_field(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def iteration_count(iterations) -> int:
+    """A solver's `iterations` as a Python int >= 1; else a ValueError that
+    names the field."""
+    iterations = integer_field("iterations", iterations)
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    return iterations
+
+
 @dataclass(frozen=True)
 class SwarmParams:
     """Solver parameters. Defaults follow the benchmark configuration."""

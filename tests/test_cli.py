@@ -184,6 +184,19 @@ def test_solve_names_a_force_init_file_that_is_not_json(fig1_files, tmp_path, ca
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_solve_names_a_force_init_file_that_is_not_an_object(fig1_files, tmp_path, capsys):
+    problem_path, _ = fig1_files
+    force_path = tmp_path / "list_force.json"
+    force_path.write_text("[[-1.0, 3.5]]\n", encoding="utf-8")
+    for oracle in ([], ["--oracle", "centralized"]):
+        assert main(["solve", str(problem_path), "--particles", "2", "--iters", "1",
+                     "--force-init", str(force_path), "--trace", str(tmp_path / "t.csv")]
+                    + oracle) == 1
+        assert capsys.readouterr().err == (
+            "error: force-init file must map agent ids to position lists\n")
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_solve_reports_an_oversized_integer_with_its_path(tmp_path, capsys):
     problem_path = tmp_path / "huge.json"
     problem_path.write_text(
@@ -258,6 +271,22 @@ def test_bench_rejects_zero_instances(tmp_path, capsys):
                "--out-dir", str(tmp_path)])
     assert rc == 1
     assert "at least one instance" in capsys.readouterr().err
+
+
+def test_bench_rejects_zero_iterations(tmp_path, capsys):
+    rc = main(["bench", "--topology", "tree", "--agents", "3", "--iters", "0",
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: iterations must be >= 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_rejects_a_non_finite_coefficient_bound(tmp_path, capsys):
+    rc = main(["generate", "--topology", "er", "--agents", "4", "--coeff-lo", "nan",
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: coeff_range must be finite, got (nan, 5.0)\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_problem_file_exits_1(capsys):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmdcop import ContinuousDomain, GenSpec, generate, serialize_problem
+from swarmdcop import ContinuousDomain, GenSpec, generate, generator, serialize_problem
 
 
 def _is_connected_tree(problem):
@@ -54,6 +54,26 @@ def test_scale_free_edge_count():
     for n, m in ((6, 2), (10, 3), (5, 1)):
         problem = generate(GenSpec(topology="scale_free", n=n, seed=8, m=m))
         assert len(problem.constraints) == m * (n - m) + m * (m - 1) // 2
+
+
+@pytest.mark.parametrize("coeff_range", [
+    (float("nan"), 1.0), (float("-inf"), float("inf")), (0.0, float("inf")),
+], ids=["nan", "both-infinite", "upper-infinite"])
+def test_a_non_finite_coeff_range_is_rejected(coeff_range):
+    with pytest.raises(ValueError, match=r"^coeff_range must be finite, got "):
+        GenSpec(topology="erdos_renyi", n=3, seed=0, coeff_range=coeff_range)
+
+
+def test_a_reversed_coeff_range_is_rejected():
+    with pytest.raises(ValueError, match="^coeff_range lower bound exceeds upper bound$"):
+        GenSpec(topology="erdos_renyi", n=3, seed=0, coeff_range=(1.0, -1.0))
+
+
+def test_erdos_renyi_gives_up_after_its_resamples(monkeypatch):
+    monkeypatch.setattr(generator, "_MAX_RESAMPLES", 3)
+    spec = GenSpec(topology="erdos_renyi", n=12, seed=0, p=0.01)
+    with pytest.raises(RuntimeError, match=r"^no connected graph after 3 resamples \(n=12, p=0.01\)$"):
+        generate(spec)
 
 
 def test_infeasible_specs_rejected():

@@ -155,6 +155,33 @@ def test_duplicate_pair_rejected():
         )
 
 
+def test_a_problem_built_directly_names_an_unknown_scope_agent():
+    with pytest.raises(ProblemFormatError, match=r"^constraints\[1\]\.scope: unknown agent 'x9'$"):
+        Problem(
+            domains={"x1": ContinuousDomain(-1, 1), "x2": ContinuousDomain(-1, 1)},
+            constraints=[
+                Constraint("x1", "x2", QuadraticCost(1, 0, 0)),
+                Constraint("x9", "x1", QuadraticCost(1, 0, 0)),
+            ],
+        )
+
+
+@pytest.mark.parametrize("coeffs, name", [
+    ((math.nan, 0.0, 0.0), "a"),
+    ((1.0, math.inf, 0.0), "b"),
+    ((1.0, 0.0, -math.inf), "c"),
+])
+def test_a_non_finite_coefficient_is_named(coeffs, name):
+    with pytest.raises(ProblemFormatError, match=f"^coefficient {name} must be finite$"):
+        QuadraticCost(*coeffs)
+
+
+def test_constraint_between_names_a_missing_pair(fig1):
+    assert fig1.constraint_between("x4", "x3") is fig1.constraints[3]
+    with pytest.raises(KeyError, match="no constraint between 'x2' and 'x3'"):
+        fig1.constraint_between("x2", "x3")
+
+
 def test_self_loop_rejected():
     with pytest.raises(ProblemFormatError, match="self-loop"):
         Constraint("x1", "x1", QuadraticCost(1, 0, 0))

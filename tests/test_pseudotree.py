@@ -14,7 +14,6 @@ from swarmdcop import (
     priority_less,
     serialize_problem,
 )
-from swarmdcop.pseudotree import render
 from swarmdcop.runtime import Simulator
 from swarmdcop.swarm import SwarmParams
 
@@ -68,12 +67,6 @@ def test_priority_less(fig1):
     assert not priority_less(tree, "x1", "x1")      # strict order
     with pytest.raises(KeyError):
         priority_less(tree, "x1", "x99")
-
-
-def test_render_is_textual(fig1):
-    text = render(build_bfs_pseudotree(fig1))
-    assert "root: x1" in text
-    assert "x3" in text and "H={x1}" in text
 
 
 @settings(max_examples=40)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -39,6 +40,11 @@ def test_below_bounds():
     assert len(set(draws)) == 7  # all residues show up over 500 draws
 
 
+def test_below_needs_a_positive_bound():
+    with pytest.raises(ValueError, match=r"^below\(\) needs n >= 1$"):
+        SplitMix64(5).below(0)
+
+
 def test_keyed_uniforms_match_scalar_mix():
     # the vectorized path must equal the documented scalar formula
     seed, ordinal, iteration, draw, n = 12345, 3, 17, 1, 8
@@ -70,7 +76,7 @@ def test_keyed_uniforms_deterministic_and_in_range(seed, ordinal, iteration, dra
     draw=st.integers(0, 2),
     n=st.integers(1, 40),
 )
-# rows hashed one by one and as one array
+# a short grid and a long one, at the largest seed
 @example(seed=MASK64, ordinals=[3, 1, 4], iteration=9, draw=2, n=5)
 @example(seed=MASK64, ordinals=list(range(100_000, 99_980, -1)), iteration=9, draw=2, n=5)
 def test_key_grid_rows_equal_scalar_calls(seed, ordinals, iteration, draw, n):
@@ -78,6 +84,37 @@ def test_key_grid_rows_equal_scalar_calls(seed, ordinals, iteration, draw, n):
     stacked = np.stack([keyed_uniforms(seed, o, iteration, draw, n) for o in ordinals])
     assert grid.shape == (len(ordinals), n)
     assert grid.tobytes() == stacked.tobytes()
+
+
+def documented_row(seed, ordinal, iteration, draw, n):
+    """keyed_uniforms' documented formula, in Python integers."""
+    h = stream_key(seed, ordinal, iteration, draw)
+    return [(mix64((h + GOLDEN * (k + 1)) & MASK64) >> 11) * 2.0**-53 for k in range(n)]
+
+
+@given(
+    seed=st.integers(0, MASK64),
+    ordinals=st.lists(st.integers(0, 100_000), min_size=1, max_size=40),
+    iteration=st.integers(0, 10_000),
+    draw=st.integers(0, 2),
+    n=st.integers(1, 40),
+)
+@example(seed=MASK64, ordinals=[0], iteration=0, draw=0, n=1)
+@example(seed=MASK64, ordinals=list(range(40)), iteration=10_000, draw=2, n=40)
+def test_key_grid_rows_follow_the_documented_formula(seed, ordinals, iteration, draw, n):
+    keys = np.array(ordinals)
+    grid = keyed_uniforms(seed, keys, iteration, draw, n)
+    assert grid.shape == (len(ordinals), n)
+    assert grid.tolist() == [documented_row(seed, o, iteration, draw, n) for o in ordinals]
+    assert keys.tolist() == ordinals  # the ordinals are not written
+
+
+@pytest.mark.parametrize("ordinal", [np.int64(3), np.uint64(3), np.int32(3)],
+                         ids=["int64", "uint64", "int32"])
+def test_a_numpy_integer_ordinal_draws_one_row(ordinal):
+    got = keyed_uniforms(12345, ordinal, 17, 1, 8)
+    assert got.shape == (8,)
+    assert got.tolist() == documented_row(12345, 3, 17, 1, 8)
 
 
 def test_streams_distinct_across_keys():

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -129,6 +130,15 @@ def test_trace_csv_roundtrip():
     trace = run(problem, SwarmParams(K=8, seed=8), 12)
     again = parse_trace_csv(trace.to_csv())
     assert again.to_csv() == trace.to_csv()
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("", "[]"),
+    ("iteration,round,gbest\n1,3,0.5\n", "['iteration,round,gbest']"),
+])
+def test_trace_csv_with_a_bad_header_is_rejected(text, shown):
+    with pytest.raises(ValueError, match=f"^bad trace header: {re.escape(shown)}$"):
+        parse_trace_csv(text)
 
 
 def test_anytime_gbest_never_increases():
@@ -646,6 +656,28 @@ def test_envelope_scalars_accounting(fig1, fig1_force):
 def test_iterations_must_be_positive(fig1):
     with pytest.raises(ValueError):
         Simulator(fig1, SwarmParams(K=2, seed=0), 0)
+
+
+@pytest.mark.parametrize("iterations, message", [
+    (2.5, "iterations must be an integer, got 2.5"),
+    (True, "iterations must be an integer, got True"),
+    ("3", "iterations must be an integer, got '3'"),
+    (0, "iterations must be >= 1"),
+], ids=["float", "bool", "str", "zero"])
+@pytest.mark.parametrize("solve", [
+    lambda problem, params, iterations: Simulator(problem, params, iterations).run_to_quiescence(),
+    centralized_gcpso,
+], ids=["distributed", "centralized"])
+def test_iterations_must_be_a_positive_integer(fig1, solve, iterations, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve(fig1, SwarmParams(K=2, seed=0), iterations)
+
+
+def test_a_numpy_integer_runs_as_many_iterations(fig1):
+    params = SwarmParams(K=3, seed=4)
+    expected = run(fig1, params, 3).to_csv()
+    assert Simulator(fig1, params, np.int64(3)).run_to_quiescence().to_csv() == expected
+    assert len(centralized_gcpso(fig1, params, np.int64(3)).rows) == 3
 
 
 def test_event_log_streams_rounds_and_verdicts(fig1, fig1_force):
