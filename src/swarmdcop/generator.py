@@ -19,6 +19,7 @@ from typing import Literal
 
 from .model import Constraint, ContinuousDomain, Problem, QuadraticCost, is_connected
 from .rng import SplitMix64
+from .swarm import integer_field
 
 Topology = Literal["erdos_renyi", "scale_free", "random_tree"]
 
@@ -36,15 +37,24 @@ class GenSpec:
     m: int = 2       # scale_free attachment count
 
     def __post_init__(self):
+        for name in ("n", "m", "seed"):
+            # numpy integers become Python ints; a bool or a float is refused
+            object.__setattr__(self, name, integer_field(name, getattr(self, name)))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.topology == "erdos_renyi" and not (0 < self.p <= 1):
             raise ValueError("edge probability p must be in (0, 1]")
         if self.topology == "scale_free" and not (1 <= self.m < self.n):
             raise ValueError(f"scale_free needs 1 <= m < n, got m={self.m}, n={self.n}")
-        if not all(math.isfinite(bound) for bound in self.coeff_range):
+        try:
+            lower, upper = self.coeff_range
+            finite = math.isfinite(lower) and math.isfinite(upper)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"coeff_range must be a pair of real numbers, got {self.coeff_range!r}") from None
+        if not finite:
             raise ValueError(f"coeff_range must be finite, got {self.coeff_range}")
-        if self.coeff_range[0] > self.coeff_range[1]:
+        if lower > upper:
             raise ValueError("coeff_range lower bound exceeds upper bound")
         if self.topology not in ("erdos_renyi", "scale_free", "random_tree"):
             raise ValueError(f"unknown topology {self.topology!r}")

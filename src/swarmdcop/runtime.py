@@ -7,10 +7,11 @@ One machine per agent. Each iteration runs two phases over the pseudo-tree:
   to its higher endpoint; agents with lower-priority neighbors sum everything
   they receive (edge costs from L members, aggregates from children) and
   forward the sum to their parent, so each edge is counted exactly once and
-  the totals telescope to the root. Each sum folds its contributions in the
-  pseudo-tree's fixed slot order (`PseudoTree.fitness_slots`), not in
-  arrival order, so every fitness vector is bit-identical under any
-  delivery schedule and equals the centralized oracle's.
+  the totals telescope to the root. Each sum holds its contributions in the
+  pseudo-tree's fold slots (`PseudoTree.fitness_slots`) and adds them in
+  slot order once all are in, not in arrival order, so every fitness vector
+  is bit-identical under any delivery schedule and equals the centralized
+  oracle's.
 * Update: the root judges the aggregated fitness vector and steps the one
   rho controller, then the verdict, which carries rho, travels back down.
   Every agent applies the same verdict with the same rule and draws its
@@ -41,17 +42,23 @@ applied t, since that needs their edge costs of t+1. So the verdict an
 agent applies is the one the swarm was last stepped under, the same
 object, or the run raises.
 
-Each round is one superstep. Every agent with mail fires: it absorbs its
-inbox and runs the protocol, queuing its edge costs. Absorbing, folding and
-routing an envelope are a few dict lookups each, with no scan over agents,
-neighbors or slots. Then long runs of the round's edge costs are evaluated
-with one gathered `evaluate_edge` call each. Last, each agent's records and
-envelopes go out, in firing order; the round's sends are counted once, and
-then the root's verdicts are written to the trace. The root judges only in
-a round in which it fires alone, so each trace row counts the envelopes
-sent up to and including the root's. Every element is computed as the
-per-agent call computes it, and the fixed fold order makes the order of the
-work within a round irrelevant, so batching changes no result.
+Each round is one superstep. The simulator routes the round's deliveries
+into per-agent inboxes, and every agent with mail fires: it absorbs its
+inbox and runs the protocol, appending its sends to the simulator's outbox
+and its edge costs, with their operands, to the round's `EdgeBatch`. A
+firing makes no list or dict of its own: inboxes, held positions (a dict
+keyed by H) and fold slots (a list) are made at set-up and reset in place,
+so absorbing, folding and routing an envelope are a few dict or list
+lookups each, with no scan over agents, neighbors or slots, and a
+delivered envelope is freed once its recipient has fired. Then the round's
+edge costs are evaluated, long runs with one gathered `evaluate_edge` call
+each. Last, each agent's records and envelopes go out, in firing order;
+the round's sends are counted once, and then the root's verdicts are
+written to the trace. The root judges only in a round in which it fires
+alone, so each trace row counts the envelopes sent up to and including the
+root's. Every element is computed as the per-agent call computes it, and
+the fixed fold order makes the order of the work within a round
+irrelevant, so batching changes no result.
 
 A run is observed through one optional callable, `Simulator(on_event=...)`,
 which receives every sent `Envelope`, every `Moved` agent, every `Judged`
@@ -61,15 +68,15 @@ runtime keeps no record beyond the trace and its counters.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from .model import Problem, QuadraticCost, cost_columns, evaluate_edge
+from .model import Constraint, Problem, cost_columns, evaluate_edge
 from .pseudotree import PseudoTree, build_bfs_pseudotree
 from .swarm import (AgentSwarmState, BestInfo, RootState, Swarm, SwarmParams, block_rows,
                     iteration_count, root_update)
@@ -192,20 +199,39 @@ class RoundReport:
     sent: int
 
 
+class EdgeBatch:
+    """The edge costs sent in one round, which the simulator evaluates at the
+    end of the round: each EDGE_FITNESS envelope, the index of its
+    constraint in the edge plan, and the constraint's operands in scope
+    order. The plan holds the constraint of every edge an agent costs, agent
+    by agent in ordinal order and each agent's H in H order."""
+
+    __slots__ = ("plan", "envelopes", "edges", "xi", "xj")
+
+    def __init__(self, plan: list[Constraint]):
+        self.plan = plan
+        self.envelopes: list[Envelope] = []
+        self.edges: list[int] = []
+        self.xi: list[np.ndarray] = []
+        self.xj: list[np.ndarray] = []
+
+
 class AgentMachine:
     """One agent: holds its swarm components, acts only on received envelopes.
-    Its edge costs are queued for the simulator's batched evaluation."""
+    Its sends go into the simulator's outbox, and its edge costs into the
+    round's `EdgeBatch`."""
 
     # slots: there is one instance per agent, and on CPython 3.11 an instance
     # with more than 26 attributes carries a 1.6 KB attribute dict, not 0.3 KB
     __slots__ = ("id", "ordinal", "max_iterations", "is_root", "H", "L",
-                 "parent", "slots", "constraint_with", "swarm", "position",
-                 "edge_costs", "moved", "initialized",
-                 "own_iter", "edge_done_iter", "fitness_next", "held", "fold_total", "folded",
-                 "early", "root_state", "completed")
+                 "parent", "slots", "plan_at", "swarm", "position",
+                 "outbox", "edge_batch", "moved", "initialized",
+                 "own_iter", "edge_done_iter", "held", "n_held",
+                 "fitness_next", "parts", "n_parts", "root_state", "completed")
 
     def __init__(self, agent_id: str, problem: Problem, tree: PseudoTree,
-                 max_iterations: int, on_event, swarm: Swarm, edge_costs: list):
+                 max_iterations: int, on_event, swarm: Swarm, outbox: list,
+                 edge_batch: EdgeBatch, plan_at: int):
         self.id = agent_id
         self.ordinal = problem.ordinals[agent_id]
         self.max_iterations = max_iterations
@@ -214,8 +240,9 @@ class AgentMachine:
         self.L = tree.L[agent_id]
         self.parent = tree.parent.get(agent_id)
         self.slots = tree.fitness_slots[agent_id]
-        constraints = problem.adjacency[agent_id]
-        self.constraint_with = {nbr: constraints[nbr] for nbr in self.H}
+        # the edges this agent costs, one per H member in H order, are those
+        # of the edge plan from index `plan_at` (see `EdgeBatch`)
+        self.plan_at = plan_at
 
         # the swarm, shared by all agents, which the root steps under each
         # verdict it judges; `position` is this agent's row of the generation
@@ -223,23 +250,25 @@ class AgentMachine:
         # verdict, the one before until then
         self.swarm = swarm
         self.position = swarm.position[self.ordinal]
-        # the round's edge costs, a queue shared by all agents and worked off
-        # by the simulator: (agent, held positions of H, its EDGE_FITNESS
-        # envelopes) per iteration costed, whose arrays it fills in; and, if
-        # observed, this agent's Moved records to emit
-        self.edge_costs = edge_costs
+        # shared by all agents: the simulator's outbox, every envelope sent
+        # this round, and the round's edge costs; and, if observed, this
+        # agent's Moved records to emit
+        self.outbox = outbox
+        self.edge_batch = edge_batch
         self.moved: list[Moved] | None = [] if on_event is not None else None
         self.initialized = False
         self.own_iter = 0               # iteration of the current positions
         self.edge_done_iter = -1
+        # H member -> its positions of own_iter until the edge costs on them
+        # go out (None before they arrive), in H order; n_held of them have
+        # arrived
+        self.held: dict[str, np.ndarray | None] = dict.fromkeys(self.H)
+        self.n_held = 0
+        # the contributions to the fitness sum of iteration fitness_next, one
+        # per fold slot (None until it arrives); n_parts of them have arrived
         self.fitness_next = 0           # next iteration to aggregate / judge
-        self.held: dict[str, np.ndarray] = {}  # H member -> positions of own_iter
-        # the fold of iteration fitness_next: the sum of slots 0 .. folded-1
-        # (None before the first) and the contributions that arrived ahead of
-        # their slot's turn (None until the first does)
-        self.fold_total: np.ndarray | None = None
-        self.folded = 0
-        self.early: dict[int, np.ndarray] | None = None
+        self.parts: list[np.ndarray | None] = [None] * len(self.slots)
+        self.n_parts = 0
         # root-only running bests, rho controller and completed verdicts
         self.root_state = RootState(np.full(swarm.params.K, np.inf)) if self.is_root else None
         self.completed: list[tuple[int, BestInfo, np.ndarray]] | None = (
@@ -261,31 +290,46 @@ class AgentMachine:
     def done(self) -> bool:
         return self.own_iter >= self.max_iterations
 
-    def fire(self, round_no: int, inbox: list[Envelope]) -> list[Envelope]:
-        """Absorb `inbox` and run the protocol as far as it goes; return the
-        envelopes sent, whose edge costs the simulator fills in this round.
+    def fire(self, round_no: int, inbox: list[Envelope]):
+        """Absorb `inbox` and run the protocol as far as it goes, appending
+        the envelopes sent to the outbox; the simulator fills in their edge
+        costs this round.
         A VALUE or UPDATE applies its verdict on arrival, if not applied yet,
         and its positions are held until this agent's edge costs go out (the
         final ones for good: no edge costs go out on them).
+        A fitness contribution is held in its fold slot until the fold is
+        complete (see `_take_sum`).
         Raises on a VALUE or UPDATE the protocol cannot send this agent now,
         on a verdict other than the one the swarm was stepped under, and on
-        a fitness contribution that is late, duplicate or not owed (see
-        `_fold`)."""
-        out: list[Envelope] = []
+        a fitness contribution that is late, duplicate or not owed."""
         if not self.initialized:
             self.initialized = True
             if self.moved is not None:
                 self.moved.append(Moved(round_no, self.id, 0, self.position))
+            outbox = self.outbox
             for j in self.L:
-                out.append(Envelope(_VALUE, 0, self.id, j, self.position))
-        held = self.held
+                outbox.append(Envelope(_VALUE, 0, self.id, j, self.position))
+        held, parts = self.held, self.parts
         for env in inbox:
-            kind = env.kind
-            if kind is not _VALUE and kind is not _UPDATE:
-                self._fold(env)
+            kind, sender, t = env.kind, env.sender, env.iteration
+            if kind is _EDGE_FITNESS or kind is _AGG_FITNESS:
+                if t != self.fitness_next:
+                    raise RuntimeError(
+                        f"{self.id}: {kind.value} from {sender} for iteration {t} arrived "
+                        f"while folding iteration {self.fitness_next}")
+                slot = self.slots.get((sender, kind is _AGG_FITNESS))
+                if slot is None:
+                    raise RuntimeError(
+                        f"{self.id}: {kind.value} from {sender} for iteration {t}, "
+                        f"which {sender} does not owe {self.id}")
+                if parts[slot] is not None:
+                    raise RuntimeError(
+                        f"{self.id}: duplicate {kind.value} from {sender} for iteration {t}")
+                parts[slot] = env.fitness
+                self.n_parts += 1
                 continue
-            sender, t, best = env.sender, env.iteration, env.best
-            if sender not in self.constraint_with:
+            best = env.best
+            if sender not in held:
                 raise RuntimeError(
                     f"{self.id}: {kind.value} from {sender} for iteration {t}, "
                     f"but {sender} is not in {self.id}'s H")
@@ -299,66 +343,46 @@ class AgentMachine:
                         f"{self.id}: {kind.value} from {sender} for iteration {t} carries a "
                         f"verdict of iteration {best.iteration} that the swarm was not "
                         f"stepped under")
-                self._apply_update(best, round_no, out)
+                self._apply_update(best, round_no)
             if t != self.own_iter:
                 raise RuntimeError(
                     f"{self.id}: {kind.value} from {sender} for iteration {t} arrived "
                     f"at iteration {self.own_iter}")
-            if t == self.edge_done_iter or sender in held:
+            if t == self.edge_done_iter or held[sender] is not None:
                 raise RuntimeError(
                     f"{self.id}: duplicate {kind.value} from {sender} for iteration {t}")
             held[sender] = env.values
+            self.n_held += 1
 
-        if held and len(held) == len(self.H) and self.own_iter < self.max_iterations:
-            self._send_edge_costs(out)
+        if self.n_held == len(held) and held and self.own_iter < self.max_iterations:
+            self._send_edge_costs()
         if self.is_root:
             # one verdict per completed fold; a lone root's folds are empty,
             # so it judges and applies every iteration in its first firing
-            while self.own_iter < self.max_iterations and self.folded == len(self.slots):
-                self._apply_update(self._judge(), round_no, out)
-        elif self.L and self.folded == len(self.slots):
+            while self.own_iter < self.max_iterations and self.n_parts == len(parts):
+                self._apply_update(self._judge(), round_no)
+        elif self.L and self.n_parts == len(parts):
             t = self.fitness_next
-            out.append(Envelope(_AGG_FITNESS, t, self.id, self.parent, None, self._take_sum()))
+            self.outbox.append(Envelope(_AGG_FITNESS, t, self.id, self.parent, None,
+                                        self._take_sum()))
             self.fitness_next = t + 1
-        return out
-
-    def _fold(self, env: Envelope):
-        """Fold one fitness contribution in slot order, holding it if an
-        earlier slot is still missing. Raises on a late or duplicate one, or
-        one its sender does not owe."""
-        t = env.iteration
-        if t != self.fitness_next:
-            raise RuntimeError(
-                f"{self.id}: {env.kind.value} from {env.sender} for iteration {t} arrived "
-                f"while folding iteration {self.fitness_next}")
-        slot = self.slots.get((env.sender, env.kind is _AGG_FITNESS))
-        if slot is None:
-            raise RuntimeError(
-                f"{self.id}: {env.kind.value} from {env.sender} for iteration {t}, "
-                f"which {env.sender} does not owe {self.id}")
-        folded, early = self.folded, self.early
-        if slot != folded:
-            if slot < folded or early is not None and slot in early:
-                raise RuntimeError(
-                    f"{self.id}: duplicate {env.kind.value} from {env.sender} for iteration {t}")
-            if early is None:
-                early = self.early = {}
-            early[slot] = env.fitness
-            return
-        # out of place: envelopes stay immutable records
-        total = env.fitness if folded == 0 else self.fold_total + env.fitness
-        folded += 1
-        if early:
-            while folded in early:
-                total = total + early.pop(folded)
-                folded += 1
-        self.fold_total, self.folded = total, folded
 
     def _take_sum(self) -> np.ndarray:
-        total, self.fold_total, self.folded = self.fold_total, None, 0
+        """The completed fold: its contributions summed in slot order, each
+        add the same IEEE operation whatever order they arrived in. Empties
+        the slots."""
+        parts = self.parts
+        total, parts[0] = parts[0], None
+        if len(parts) > 1:
+            # the rest add into a fresh sum: envelopes stay immutable records
+            total, parts[1] = total + parts[1], None
+            for slot in range(2, len(parts)):
+                total += parts[slot]
+                parts[slot] = None
+        self.n_parts = 0
         return total
 
-    def _apply_update(self, best: BestInfo, round_no: int, out: list[Envelope]):
+    def _apply_update(self, best: BestInfo, round_no: int):
         """Move on to the positions the swarm's step under `best` made and
         send them down."""
         self.own_iter = t = best.iteration + 1
@@ -367,17 +391,35 @@ class AgentMachine:
             self.moved.append(Moved(round_no, self.id, t, position))
         # the final verdict still floods down so every agent consumes it; the
         # `done` guard on the evaluation phase stops the cascade afterwards
+        outbox, sender = self.outbox, self.id
         for j in self.L:
-            out.append(Envelope(_UPDATE, t, self.id, j, position, None, best))
+            outbox.append(Envelope(_UPDATE, t, sender, j, position, None, best))
 
-    def _send_edge_costs(self, out: list[Envelope]):
-        """Send this iteration's edge costs on the held positions of H; the
-        simulator evaluates them this round (see `Simulator._evaluate_edges`)."""
-        t = self.own_iter
-        sent = [Envelope(_EDGE_FITNESS, t, self.id, h) for h in self.H]
-        out += sent
-        self.edge_costs.append((self, self.held, sent))
-        self.held = {}
+    def _send_edge_costs(self):
+        """Send this iteration's edge costs on the held positions of H, and
+        hand them over: the simulator evaluates them this round (see
+        `Simulator._evaluate_edges`). An edge's operands, in its
+        constraint's scope order, are the recipient's held positions and
+        this agent's `position`, both of the iteration the envelope is
+        tagged with."""
+        t, sender, own, held = self.own_iter, self.id, self.position, self.held
+        outbox, batch = self.outbox, self.edge_batch
+        plan, envelopes, edges, xi, xj = batch.plan, batch.envelopes, batch.edges, batch.xi, batch.xj
+        e = self.plan_at
+        for h in held:
+            env = Envelope(_EDGE_FITNESS, t, sender, h)
+            outbox.append(env)
+            envelopes.append(env)
+            edges.append(e)
+            if plan[e].i == h:
+                xi.append(held[h])
+                xj.append(own)
+            else:
+                xi.append(own)
+                xj.append(held[h])
+            held[h] = None
+            e += 1
+        self.n_held = 0
         self.edge_done_iter = t
 
     def _judge(self) -> BestInfo:
@@ -385,7 +427,7 @@ class AgentMachine:
         whole swarm under the verdict."""
         t = self.fitness_next
         params = self.swarm.params
-        if self.slots:
+        if self.parts:
             fit = self._take_sum()
         else:
             fit = np.zeros(params.K)  # isolated root: empty objective
@@ -398,11 +440,11 @@ class AgentMachine:
     def describe_block(self) -> str:
         waits = []
         if self.H and self.edge_done_iter < self.own_iter:
-            missing = [h for h in self.H if h not in self.held]
+            missing = [h for h, values in self.held.items() if values is None]
             waits.append(f"values({self.own_iter}) from {missing}")
         if self.is_root or self.L:
             t = self.fitness_next
-            waits.append(f"fitness({t}): {self.folded}/{len(self.slots)} folded")
+            waits.append(f"fitness({t}): {self.n_parts}/{len(self.slots)} folded")
         if not waits:
             waits.append(f"verdict({self.own_iter})")
         return f"{self.id}@iter {self.own_iter} awaiting " + "; ".join(waits)
@@ -426,39 +468,51 @@ class Simulator:
         self.problem = problem
         self.params = params
         self.iterations = iterations
-        self.tree = build_bfs_pseudotree(problem)
+        self.tree = tree = build_bfs_pseudotree(problem)
 
         self.swarm = Swarm(problem, params, force_init)
-        self._edge_costs: list[tuple[AgentMachine, dict[str, np.ndarray], list[Envelope]]] = []
-        self.machines = [
-            AgentMachine(agent_id, problem, self.tree, iterations, on_event, self.swarm,
-                         self._edge_costs)
-            for agent_id in problem.ids
-        ]
-        self.root = self.machines[problem.ordinals[self.tree.root]]
+        adjacency = problem.adjacency
+        self._edges = EdgeBatch([adjacency[a][h] for a in problem.ids for h in tree.H[a]])
+        self._sent: list[Envelope] = []
+        self.machines = []
+        plan_at = 0
+        for agent_id in problem.ids:
+            self.machines.append(AgentMachine(agent_id, problem, tree, iterations, on_event,
+                                              self.swarm, self._sent, self._edges, plan_at))
+            plan_at += len(tree.H[agent_id])
+        # one inbox per agent, by ordinal, emptied after each firing
+        self._inboxes: list[list[Envelope]] = [[] for _ in self.machines]
+        self.root = self.machines[problem.ordinals[tree.root]]
         self.round = 0
         self.queue: list[Envelope] = []
         self.cum_envelopes = 0
         self.cum_scalars = 0
         self.trace = AnytimeTrace()
-        self._run_round(0, [(machine, []) for machine in self.machines])
+        self._run_round(0, range(len(self.machines)))
 
-    def _register_sends(self, fired: list[tuple[AgentMachine, list[Envelope]]],
-                        sends: list[list[Envelope]]):
+    def _register_sends(self, fired, ends: list[int] | None):
         """Count and queue the round's sends; if observed, emit each fired
-        machine's Moved records, then its envelopes."""
-        if self.on_event is not None:
-            for (machine, _), out in zip(fired, sends):
-                for moved in machine.moved:
-                    self.on_event(moved)
-                machine.moved.clear()
-                for env in out:
-                    self.on_event(env)
-        envs = list(chain.from_iterable(sends))
+        machine's Moved records, then its envelopes (`ends`: where each
+        one's envelopes end in the outbox)."""
+        sent = self._sent
+        on_event = self.on_event
+        if on_event is not None:
+            start = 0
+            for o, end in zip(fired, ends):
+                moved = self.machines[o].moved
+                for record in moved:
+                    on_event(record)
+                moved.clear()
+                for k in range(start, end):
+                    on_event(sent[k])
+                start = end
+        # as `envelope_scalars` counts them: K each, and K + 4 more per UPDATE
         K = self.params.K
-        self.cum_envelopes += len(envs)
-        self.cum_scalars += sum([envelope_scalars(env, K) for env in envs])
-        self.queue += envs
+        updates = [env.kind for env in sent].count(_UPDATE)
+        self.cum_envelopes += len(sent)
+        self.cum_scalars += K * len(sent) + (K + 4) * updates
+        self.queue += sent
+        sent.clear()
 
     def _drain_root(self, round_no: int):
         for t, best, fit in self.root.completed:
@@ -488,21 +542,24 @@ class Simulator:
         """Deliver everything queued last round, then fire the recipients."""
         self.round += 1
         deliveries, self.queue = self.queue, []
-        ordinals = self.problem.ordinals
-        inboxes: defaultdict[int, list[Envelope]] = defaultdict(list)
-        for env in deliveries:
-            inboxes[ordinals[env.recipient]].append(env)
-        # ordinal order, not the order of the queue
-        fired = [(self.machines[o], inboxes[o]) for o in sorted(inboxes)]
+        ordinals, inboxes = self.problem.ordinals, self._inboxes
+        recipients = [ordinals[env.recipient] for env in deliveries]
+        for o, env in zip(recipients, deliveries):
+            inboxes[o].append(env)
+        fired = sorted(set(recipients))  # ordinal order, not the order of the queue
+        delivered = len(deliveries)
+        # unless held elsewhere, each envelope is freed once its recipient
+        # has fired, as the round's sends are made
+        del deliveries
         sent_before = self.cum_envelopes
         self._run_round(self.round, fired)
-        report = RoundReport(self.round, len(deliveries), len(fired),
+        report = RoundReport(self.round, delivered, len(fired),
                              self.cum_envelopes - sent_before)
         if self.on_event is not None:
             self.on_event(report)
         return report
 
-    def _run_round(self, round_no: int, fired: list[tuple[AgentMachine, list[Envelope]]]):
+    def _run_round(self, round_no: int, fired):
         """One superstep: every agent with mail fires in ordinal order, the
         round's edge costs are evaluated batched, then each agent's records
         and envelopes go out in firing order, and last the root's verdicts.
@@ -510,48 +567,52 @@ class Simulator:
         every envelope of iteration t delivered, and none of t+1 exists
         before it. So each trace row counts the root's sends and no other
         agent's of that round."""
-        sends = [machine.fire(round_no, inbox) for machine, inbox in fired]
-        if self._edge_costs:
+        machines, inboxes, sent = self.machines, self._inboxes, self._sent
+        ends = [] if self.on_event is not None else None
+        for o in fired:
+            inbox = inboxes[o]
+            machines[o].fire(round_no, inbox)
+            inbox.clear()
+            if ends is not None:
+                ends.append(len(sent))
+        if self._edges.envelopes:
             self._evaluate_edges()
-        self._register_sends(fired, sends)
+        self._register_sends(fired, ends)
         self._drain_root(round_no)
 
     def _evaluate_edges(self):
         """Cost the round's edge-cost sends, in firing order and in runs of a
         block of rows: a run of at least `GATHERED_EDGES` edges with one
-        `evaluate_edge` call on gathered operands, a shorter run edge by edge.
-        An edge's operands, in its constraint's scope order, are the
-        recipient's held positions and the sender's `position`, both of the
-        iteration the envelope is tagged with."""
-        sent: list[Envelope] = []
-        costs: list[QuadraticCost] = []
-        xi: list[np.ndarray] = []
-        xj: list[np.ndarray] = []
-        for machine, held, envs in self._edge_costs:
-            for env in envs:
-                h = env.recipient
-                con = machine.constraint_with[h]
-                costs.append(con.cost)
-                if con.i == h:
-                    xi.append(held[h])
-                    xj.append(machine.position)
-                else:
-                    xi.append(machine.position)
-                    xj.append(held[h])
-            sent += envs
-        self._edge_costs.clear()
+        `evaluate_edge` call on gathered operands, a shorter run edge by
+        edge. Empties the batch."""
+        batch = self._edges
+        plan, envelopes, edges, xi, xj = batch.plan, batch.envelopes, batch.edges, batch.xi, batch.xj
         rows = block_rows(self.params.K)
-        for lo in range(0, len(sent), rows):
+        for lo in range(0, len(envelopes), rows):
             hi = lo + rows
-            run = sent[lo:hi]
+            run = envelopes[lo:hi]
             if len(run) < GATHERED_EDGES:
-                for env, cost, a, b in zip(run, costs[lo:hi], xi[lo:hi], xj[lo:hi]):
-                    env.fitness = evaluate_edge(cost, a, b)
+                for env, e, a, b in zip(run, edges[lo:hi], xi[lo:hi], xj[lo:hi]):
+                    env.fitness = evaluate_edge(plan[e].cost, a, b)
                 continue
-            values = evaluate_edge(cost_columns(costs[lo:hi]), np.array(xi[lo:hi]),
-                                   np.array(xj[lo:hi]))
+            at = np.array(edges[lo:hi])
+            columns = self._plan_columns
+            cost = SimpleNamespace(a=columns.a[at], b=columns.b[at], c=columns.c[at])
+            shape = (len(run), self.params.K)
+            values = evaluate_edge(cost, np.concatenate(xi[lo:hi]).reshape(shape),
+                                   np.concatenate(xj[lo:hi]).reshape(shape))
             for env, row in zip(run, values):
                 env.fitness = row
+        envelopes.clear()
+        edges.clear()
+        xi.clear()
+        xj.clear()
+
+    @cached_property
+    def _plan_columns(self) -> SimpleNamespace:
+        """The edge plan's coefficient columns for gathered evaluation, made
+        at the first gathered run: at large K there is none."""
+        return cost_columns([con.cost for con in self._edges.plan])
 
     def run_to_quiescence(self) -> AnytimeTrace:
         while not self.quiescent:

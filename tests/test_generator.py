@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +64,31 @@ def test_scale_free_edge_count():
 ], ids=["nan", "both-infinite", "upper-infinite"])
 def test_a_non_finite_coeff_range_is_rejected(coeff_range):
     with pytest.raises(ValueError, match=r"^coeff_range must be finite, got "):
+        GenSpec(topology="erdos_renyi", n=3, seed=0, coeff_range=coeff_range)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 2.5), ("n", True), ("n", "3"), ("m", 1.5), ("m", False), ("seed", 0.5), ("seed", None),
+])
+def test_integer_fields_must_be_integers(field, value):
+    fields = {"n": 4, "m": 2, "seed": 0, field: value}
+    message = f"{field} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GenSpec(topology="scale_free", **fields)
+
+
+def test_numpy_integer_fields_become_python_ints():
+    spec = GenSpec(topology="scale_free", n=np.int64(6), seed=np.uint64(9), m=np.int32(2))
+    assert [type(v) for v in (spec.n, spec.m, spec.seed)] == [int, int, int]
+    expected = GenSpec(topology="scale_free", n=6, seed=9, m=2)
+    assert serialize_problem(generate(spec)) == serialize_problem(generate(expected))
+
+
+@pytest.mark.parametrize("coeff_range", [("a", 1.0), (0.0, None), (1.0,), 5.0],
+                         ids=["str", "none", "one-bound", "number"])
+def test_a_non_numeric_coeff_range_is_rejected(coeff_range):
+    message = f"coeff_range must be a pair of real numbers, got {coeff_range!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         GenSpec(topology="erdos_renyi", n=3, seed=0, coeff_range=coeff_range)
 
 

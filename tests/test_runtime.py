@@ -1,5 +1,7 @@
+import hashlib
 import math
 import re
+import struct
 from collections import Counter
 from dataclasses import replace
 
@@ -210,9 +212,15 @@ def test_quiescence_leaves_no_pending_state():
         assert sim.quiescent
         for machine in sim.machines:
             assert machine.done
-            assert set(machine.held) == set(machine.H)
-            assert (machine.fold_total, machine.folded) == (None, 0)
-            assert not machine.early
+            # the final positions of all of H, and nothing else
+            assert list(machine.held) == machine.H
+            assert all(values is not None for values in machine.held.values())
+            assert machine.n_held == len(machine.H)
+            # no fold in progress: every fold was summed and sent or judged
+            assert machine.n_parts == 0
+            assert machine.fitness_next == (8 if machine.is_root or machine.L else 0)
+            # nothing held early: every fold slot is empty
+            assert machine.parts == [None] * len(machine.slots)
 
 
 def test_agent_machines_carry_no_attribute_dict(fig1):
@@ -287,6 +295,60 @@ def _run_shuffled(sim, seed):
         sim.queue = due
         sim.step()
     return sim.trace
+
+
+class _StreamDigest:
+    """A `Simulator(on_event=...)` callable that hashes every record as it is
+    emitted: each envelope's kind, iteration, sender, recipient and payload
+    bytes, each `Moved` agent's positions, each `Judged` fitness vector and
+    each `RoundReport`."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def __call__(self, event):
+        update = self.hash.update
+        if isinstance(event, Envelope):
+            update(f"E {event.kind.value} {event.iteration} {event.sender} "
+                   f"{event.recipient}".encode())
+            for array in (event.values, event.fitness):
+                update(b"-" if array is None else array.tobytes())
+            best = event.best
+            if best is not None:
+                update(struct.pack("<qqd?d", best.iteration, int(best.gbest_index),
+                                   float(best.gbest_fitness), bool(best.gbest_changed),
+                                   float(best.rho)) + best.improved.tobytes())
+        elif isinstance(event, Moved):
+            update(f"M {event.round} {event.agent} {event.iteration}".encode()
+                   + event.position.tobytes())
+        elif isinstance(event, Judged):
+            update(f"J {event.round} {event.best.iteration}".encode() + event.fitness.tobytes())
+        else:
+            update(f"R {event.round} {event.delivered} {event.fired} {event.sent}".encode())
+
+
+# sha256 of the whole event stream and the trace CSV, recorded before the
+# simulator reused its per-agent buffers; any change to the envelopes, their
+# order or their payloads changes them
+STREAM_DIGESTS = {
+    ("sf200-k8", "synchronous"): "7b0ad04f502ef0ba8f08c9db41fe53b8ff0b7e3fc8986ffc17e13640a02f3cd9",
+    ("sf200-k8", "shuffled"): "09c997cf41e0f17990340b99f73dd3e683566c5f9e4099a4d2a16d6109e20f29",
+    ("er20-k16", "synchronous"): "5610b4cce363ab6c545d34aa72e2150d576f04e10b4d283c3e159d29f37fda5d",
+    ("er20-k16", "shuffled"): "a2244dd72bc39d740206ba40aa18df2887132615be6e5d1e146f47c79c5667a8",
+}
+
+
+@pytest.mark.parametrize("case, schedule", sorted(STREAM_DIGESTS))
+def test_the_event_stream_keeps_its_bits(case, schedule):
+    if case == "sf200-k8":
+        problem, params, T = generate(GenSpec("scale_free", 200, 4, m=2)), SwarmParams(K=8, seed=3), 5
+    else:
+        problem, params, T = generate(GenSpec("erdos_renyi", 20, 6, p=0.2)), SwarmParams(K=16, seed=5), 30
+    digest = _StreamDigest()
+    sim = Simulator(problem, params, T, on_event=digest)
+    trace = sim.run_to_quiescence() if schedule == "synchronous" else _run_shuffled(sim, 7)
+    digest.hash.update(trace.to_csv().encode())
+    assert digest.hash.hexdigest() == STREAM_DIGESTS[case, schedule]
 
 
 @pytest.mark.parametrize("schedule", [1, 2, 3])
