@@ -70,13 +70,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from .model import Constraint, Problem, cost_columns, evaluate_edge
+from .model import Problem, QuadraticCost, cost_columns, evaluate_edge
 from .pseudotree import PseudoTree, build_bfs_pseudotree
 from .swarm import (AgentSwarmState, BestInfo, RootState, Swarm, SwarmParams, block_rows,
                     iteration_count, root_update)
@@ -201,17 +199,14 @@ class RoundReport:
 
 class EdgeBatch:
     """The edge costs sent in one round, which the simulator evaluates at the
-    end of the round: each EDGE_FITNESS envelope, the index of its
-    constraint in the edge plan, and the constraint's operands in scope
-    order. The plan holds the constraint of every edge an agent costs, agent
-    by agent in ordinal order and each agent's H in H order."""
+    end of the round: each EDGE_FITNESS envelope, its constraint's cost and
+    the constraint's operands in scope order."""
 
-    __slots__ = ("plan", "envelopes", "edges", "xi", "xj")
+    __slots__ = ("envelopes", "costs", "xi", "xj")
 
-    def __init__(self, plan: list[Constraint]):
-        self.plan = plan
+    def __init__(self):
         self.envelopes: list[Envelope] = []
-        self.edges: list[int] = []
+        self.costs: list[QuadraticCost] = []
         self.xi: list[np.ndarray] = []
         self.xj: list[np.ndarray] = []
 
@@ -224,14 +219,14 @@ class AgentMachine:
     # slots: there is one instance per agent, and on CPython 3.11 an instance
     # with more than 26 attributes carries a 1.6 KB attribute dict, not 0.3 KB
     __slots__ = ("id", "ordinal", "max_iterations", "is_root", "H", "L",
-                 "parent", "slots", "plan_at", "swarm", "position",
+                 "parent", "slots", "constraints", "swarm", "position",
                  "outbox", "edge_batch", "moved", "initialized",
                  "own_iter", "edge_done_iter", "held", "n_held",
                  "fitness_next", "parts", "n_parts", "root_state", "completed")
 
     def __init__(self, agent_id: str, problem: Problem, tree: PseudoTree,
                  max_iterations: int, on_event, swarm: Swarm, outbox: list,
-                 edge_batch: EdgeBatch, plan_at: int):
+                 edge_batch: EdgeBatch):
         self.id = agent_id
         self.ordinal = problem.ordinals[agent_id]
         self.max_iterations = max_iterations
@@ -240,9 +235,9 @@ class AgentMachine:
         self.L = tree.L[agent_id]
         self.parent = tree.parent.get(agent_id)
         self.slots = tree.fitness_slots[agent_id]
-        # the edges this agent costs, one per H member in H order, are those
-        # of the edge plan from index `plan_at` (see `EdgeBatch`)
-        self.plan_at = plan_at
+        # the constraint of each edge this agent costs, in H order
+        adjacency = problem.adjacency[agent_id]
+        self.constraints = tuple(adjacency[h] for h in self.H)
 
         # the swarm, shared by all agents, which the root steps under each
         # verdict it judges; `position` is this agent's row of the generation
@@ -404,21 +399,19 @@ class AgentMachine:
         tagged with."""
         t, sender, own, held = self.own_iter, self.id, self.position, self.held
         outbox, batch = self.outbox, self.edge_batch
-        plan, envelopes, edges, xi, xj = batch.plan, batch.envelopes, batch.edges, batch.xi, batch.xj
-        e = self.plan_at
-        for h in held:
+        envelopes, costs, xi, xj = batch.envelopes, batch.costs, batch.xi, batch.xj
+        for h, con in zip(held, self.constraints):
             env = Envelope(_EDGE_FITNESS, t, sender, h)
             outbox.append(env)
             envelopes.append(env)
-            edges.append(e)
-            if plan[e].i == h:
+            costs.append(con.cost)
+            if con.i == h:
                 xi.append(held[h])
                 xj.append(own)
             else:
                 xi.append(own)
                 xj.append(held[h])
             held[h] = None
-            e += 1
         self.n_held = 0
         self.edge_done_iter = t
 
@@ -443,8 +436,11 @@ class AgentMachine:
             missing = [h for h, values in self.held.items() if values is None]
             waits.append(f"values({self.own_iter}) from {missing}")
         if self.is_root or self.L:
-            t = self.fitness_next
-            waits.append(f"fitness({t}): {self.n_parts}/{len(self.slots)} folded")
+            # the contributions a sum in slot order can take so far: those
+            # before the first empty slot
+            parts = self.parts
+            folded = next((s for s, part in enumerate(parts) if part is None), len(parts))
+            waits.append(f"fitness({self.fitness_next}): {folded}/{len(parts)} folded")
         if not waits:
             waits.append(f"verdict({self.own_iter})")
         return f"{self.id}@iter {self.own_iter} awaiting " + "; ".join(waits)
@@ -471,15 +467,11 @@ class Simulator:
         self.tree = tree = build_bfs_pseudotree(problem)
 
         self.swarm = Swarm(problem, params, force_init)
-        adjacency = problem.adjacency
-        self._edges = EdgeBatch([adjacency[a][h] for a in problem.ids for h in tree.H[a]])
+        self._edges = EdgeBatch()
         self._sent: list[Envelope] = []
-        self.machines = []
-        plan_at = 0
-        for agent_id in problem.ids:
-            self.machines.append(AgentMachine(agent_id, problem, tree, iterations, on_event,
-                                              self.swarm, self._sent, self._edges, plan_at))
-            plan_at += len(tree.H[agent_id])
+        self.machines = [AgentMachine(agent_id, problem, tree, iterations, on_event,
+                                      self.swarm, self._sent, self._edges)
+                         for agent_id in problem.ids]
         # one inbox per agent, by ordinal, emptied after each firing
         self._inboxes: list[list[Envelope]] = [[] for _ in self.machines]
         self.root = self.machines[problem.ordinals[tree.root]]
@@ -586,33 +578,25 @@ class Simulator:
         `evaluate_edge` call on gathered operands, a shorter run edge by
         edge. Empties the batch."""
         batch = self._edges
-        plan, envelopes, edges, xi, xj = batch.plan, batch.envelopes, batch.edges, batch.xi, batch.xj
+        envelopes, costs, xi, xj = batch.envelopes, batch.costs, batch.xi, batch.xj
         rows = block_rows(self.params.K)
         for lo in range(0, len(envelopes), rows):
             hi = lo + rows
             run = envelopes[lo:hi]
             if len(run) < GATHERED_EDGES:
-                for env, e, a, b in zip(run, edges[lo:hi], xi[lo:hi], xj[lo:hi]):
-                    env.fitness = evaluate_edge(plan[e].cost, a, b)
+                for env, cost, a, b in zip(run, costs[lo:hi], xi[lo:hi], xj[lo:hi]):
+                    env.fitness = evaluate_edge(cost, a, b)
                 continue
-            at = np.array(edges[lo:hi])
-            columns = self._plan_columns
-            cost = SimpleNamespace(a=columns.a[at], b=columns.b[at], c=columns.c[at])
             shape = (len(run), self.params.K)
-            values = evaluate_edge(cost, np.concatenate(xi[lo:hi]).reshape(shape),
+            values = evaluate_edge(cost_columns(costs[lo:hi]),
+                                   np.concatenate(xi[lo:hi]).reshape(shape),
                                    np.concatenate(xj[lo:hi]).reshape(shape))
             for env, row in zip(run, values):
                 env.fitness = row
         envelopes.clear()
-        edges.clear()
+        costs.clear()
         xi.clear()
         xj.clear()
-
-    @cached_property
-    def _plan_columns(self) -> SimpleNamespace:
-        """The edge plan's coefficient columns for gathered evaluation, made
-        at the first gathered run: at large K there is none."""
-        return cost_columns([con.cost for con in self._edges.plan])
 
     def run_to_quiescence(self) -> AnytimeTrace:
         while not self.quiescent:

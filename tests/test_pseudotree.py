@@ -143,7 +143,6 @@ def test_a_round_trip_builds_the_same_tree_and_lookups(spec):
     assert ([list(slots.items()) for slots in tree_again.fitness_slots.values()]
             == [list(slots.items()) for slots in tree.fitness_slots.values()])
     params = SwarmParams(K=2, seed=0)
-    # each agent's H member -> the constraint it costs, from the edge plan
-    plans = [[[(h, sim._edges.plan[m.plan_at + k]) for k, h in enumerate(m.H)] for m in sim.machines]
-             for sim in (Simulator(p, params, 1) for p in (problem, again))]
-    assert plans[1] == plans[0]
+    machines = [Simulator(p, params, 1).machines for p in (problem, again)]
+    assert ([list(zip(m.H, m.constraints)) for m in machines[1]]
+            == [list(zip(m.H, m.constraints)) for m in machines[0]])

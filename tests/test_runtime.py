@@ -274,6 +274,21 @@ def test_deadlock_detection_names_blocked_agents(fig1, fig1_force):
         sim.run_to_quiescence()
 
 
+@pytest.mark.parametrize("lost, folded", [
+    ((Kind.EDGE_FITNESS, "x2"), 0),  # slot 0: the later slots arrive, none is summed
+    ((Kind.AGG_FITNESS, "x3"), 3),   # slot 3, the last
+])
+def test_deadlock_detection_names_the_fitness_wait(fig1, fig1_force, lost, folded):
+    sim = _forced_sim(fig1, fig1_force)
+    while sim.queue:
+        sim.queue = [e for e in sim.queue if (e.kind, e.sender) != lost]
+        sim.step()
+    with pytest.raises(RuntimeError) as info:
+        sim.run_to_quiescence()
+    assert re.search(rf"(?m)^  x1@iter 0 awaiting fitness\(0\): {folded}/4 folded$",
+                     str(info.value))
+
+
 def _run_shuffled(sim, seed):
     """Drive `sim` to quiescence, delivering each round's envelopes in a
     shuffled order and holding about a quarter of them back 1-3 extra
