@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Literal
 
 from .model import Constraint, ContinuousDomain, Problem, QuadraticCost, is_connected
@@ -42,6 +43,8 @@ class GenSpec:
             object.__setattr__(self, name, integer_field(name, getattr(self, name)))
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if isinstance(self.p, bool) or not isinstance(self.p, Real):
+            raise ValueError(f"p must be a real number, got {self.p!r}")
         if self.topology == "erdos_renyi" and not (0 < self.p <= 1):
             raise ValueError("edge probability p must be in (0, 1]")
         if self.topology == "scale_free" and not (1 <= self.m < self.n):
@@ -56,6 +59,8 @@ class GenSpec:
             raise ValueError(f"coeff_range must be finite, got {self.coeff_range}")
         if lower > upper:
             raise ValueError("coeff_range lower bound exceeds upper bound")
+        if not isinstance(self.domain, ContinuousDomain):  # the type checks its bounds
+            raise ValueError(f"domain must be a ContinuousDomain, got {self.domain!r}")
         if self.topology not in ("erdos_renyi", "scale_free", "random_tree"):
             raise ValueError(f"unknown topology {self.topology!r}")
 

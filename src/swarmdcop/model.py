@@ -20,7 +20,7 @@ import numpy as np
 
 
 class ProblemFormatError(ValueError):
-    """Malformed or inconsistent problem document; message carries the field path."""
+    """Malformed or inconsistent problem; the message starts with its field path from the raiser."""
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,10 @@ class ContinuousDomain:
 
     def __post_init__(self):
         if not (isfinite(self.lower) and isfinite(self.upper)):
-            raise ProblemFormatError("domain bounds must be finite")
+            pos = 0 if not isfinite(self.lower) else 1
+            raise ProblemFormatError(f"domain[{pos}]: number must be finite")
         if not self.lower < self.upper:
-            raise ProblemFormatError(
-                f"domain lower bound {self.lower} must be < upper bound {self.upper}"
-            )
+            raise ProblemFormatError("domain: lower bound must be < upper bound")
 
     @property
     def width(self) -> float:
@@ -52,7 +51,7 @@ class QuadraticCost:
     def __post_init__(self):
         if not (isfinite(self.a) and isfinite(self.b) and isfinite(self.c)):
             name = next(name for name in "abc" if not isfinite(getattr(self, name)))
-            raise ProblemFormatError(f"coefficient {name} must be finite")
+            raise ProblemFormatError(f"{name}: number must be finite")
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class Constraint:
 
     def __post_init__(self):
         if self.i == self.j:
-            raise ProblemFormatError(f"constraint scope ({self.i}, {self.j}) is a self-loop")
+            raise ProblemFormatError("scope: scope endpoints must differ")
 
 
 def evaluate_edge(cost: QuadraticCost, xi, xj):
@@ -146,8 +145,8 @@ class Problem:
         for idx, con in enumerate(self.constraints):
             i, j = con.i, con.j
             if i not in adjacency or j not in adjacency:
-                end = i if i not in adjacency else j
-                raise ProblemFormatError(f"constraints[{idx}].scope: unknown agent {end!r}")
+                pos, end = (0, i) if i not in adjacency else (1, j)
+                raise ProblemFormatError(f"constraints[{idx}].scope[{pos}]: unknown agent {end!r}")
             if j in adjacency[i]:
                 raise ProblemFormatError(
                     f"constraints[{idx}]: duplicate constraint between {i!r} and {j!r}")
@@ -182,19 +181,17 @@ def global_cost(problem: Problem, assignment: Mapping[str, float]) -> float:
     return total
 
 
-def _finite_number(value, path: str, *at) -> float:
-    """`value` as a float if it is a finite JSON number; else raise, naming
-    the field `path % at`. A finite float needs no call: callers test for one
-    first."""
+def _number(value, path: str, *at) -> float:
+    """`value` as a float if it is a JSON number, inf for an integer beyond the
+    float range; else raise, naming the field `path % at`. A float needs no
+    call: callers test for one first."""
     if type(value) is not float:
         if type(value) is not int:  # true and false load as bools, not numbers
             raise ProblemFormatError(f"{path % at}: expected a number")
         try:
             value = float(value)
-        except OverflowError:  # an integer beyond the float range
+        except OverflowError:
             value = inf
-    if not isfinite(value):
-        raise ProblemFormatError(f"{path % at}: number must be finite")
     return value
 
 
@@ -205,9 +202,10 @@ def _reject_constant(name):
 def parse_problem(text: str) -> Problem:
     """Parse the UTF-8 JSON problem document. Errors carry field paths.
 
-    The checks run in document order, and the first that fails names the
-    error; each tests its condition first and formats its message only when
-    it fails."""
+    This checks the JSON shape; the model types check the values, their errors
+    gaining the entry's path, and `Problem` the graph. Entries run in document
+    order, each its shape then its values, then the graph; the first failing
+    check names the error, and only a failing check formats a message."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
@@ -234,13 +232,13 @@ def parse_problem(text: str) -> Problem:
         if not (isinstance(dom, list) and len(dom) == 2):
             raise ProblemFormatError(f"agents[{idx}].domain: expected [lower, upper]")
         lower, upper = dom
-        if not (type(lower) is float and type(upper) is float and isfinite(lower)
-                and isfinite(upper)):
-            lower = _finite_number(lower, "agents[%d].domain[0]", idx)
-            upper = _finite_number(upper, "agents[%d].domain[1]", idx)
-        if not lower < upper:
-            raise ProblemFormatError(f"agents[{idx}].domain: lower bound must be < upper bound")
-        domains[agent] = ContinuousDomain(lower, upper)
+        if not (type(lower) is float and type(upper) is float):
+            lower = _number(lower, "agents[%d].domain[0]", idx)
+            upper = _number(upper, "agents[%d].domain[1]", idx)
+        try:
+            domains[agent] = ContinuousDomain(lower, upper)
+        except ProblemFormatError as exc:
+            raise ProblemFormatError(f"agents[{idx}].{exc}") from exc
 
     constraints: list[Constraint] = []
     for idx, entry in enumerate(doc["constraints"]):
@@ -250,25 +248,21 @@ def parse_problem(text: str) -> Problem:
         if not (isinstance(scope, list) and len(scope) == 2):
             raise ProblemFormatError(f"constraints[{idx}].scope: expected [i, j]")
         i, j = scope
-        if not (isinstance(i, str) and i in domains and isinstance(j, str) and j in domains):
-            for pos, end in enumerate(scope):
-                if not isinstance(end, str):
-                    raise ProblemFormatError(
-                        f"constraints[{idx}].scope[{pos}]: expected an agent id")
-                if end not in domains:
-                    raise ProblemFormatError(
-                        f"constraints[{idx}].scope[{pos}]: unknown agent {end!r}")
-        if i == j:
-            raise ProblemFormatError(f"constraints[{idx}].scope: scope endpoints must differ")
+        if not (isinstance(i, str) and isinstance(j, str)):
+            pos = 0 if not isinstance(i, str) else 1
+            raise ProblemFormatError(f"constraints[{idx}].scope[{pos}]: expected an agent id")
         coeffs = []
         for name in "abc":
             value = entry.get(name)
-            if not (type(value) is float and isfinite(value)):
+            if type(value) is not float:
                 if name not in entry:
                     raise ProblemFormatError(f"constraints[{idx}].{name}: missing coefficient")
-                value = _finite_number(value, "constraints[%d].%s", idx, name)
+                value = _number(value, "constraints[%d].%s", idx, name)
             coeffs.append(value)
-        constraints.append(Constraint(i, j, QuadraticCost(*coeffs)))
+        try:
+            constraints.append(Constraint(i, j, QuadraticCost(*coeffs)))
+        except ProblemFormatError as exc:
+            raise ProblemFormatError(f"constraints[{idx}].{exc}") from exc
 
     return Problem(domains=domains, constraints=constraints)
 

@@ -92,6 +92,19 @@ def test_a_non_numeric_coeff_range_is_rejected(coeff_range):
         GenSpec(topology="erdos_renyi", n=3, seed=0, coeff_range=coeff_range)
 
 
+@pytest.mark.parametrize("p", ["a", True, None], ids=["str", "bool", "none"])
+def test_a_non_real_p_is_rejected(p):
+    message = f"p must be a real number, got {p!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GenSpec(topology="erdos_renyi", n=3, seed=0, p=p)
+
+
+def test_a_domain_that_is_not_a_continuous_domain_is_rejected():
+    message = "domain must be a ContinuousDomain, got (-1.0, 1.0)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GenSpec(topology="random_tree", n=3, seed=0, domain=(-1.0, 1.0))
+
+
 def test_a_reversed_coeff_range_is_rejected():
     with pytest.raises(ValueError, match="^coeff_range lower bound exceeds upper bound$"):
         GenSpec(topology="erdos_renyi", n=3, seed=0, coeff_range=(1.0, -1.0))

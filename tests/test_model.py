@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmdcop import (
@@ -53,11 +53,25 @@ def test_evaluate_edge_scales_exactly_by_powers_of_two(a, b, c, x, y, exp):
     x=st.floats(-100, 100), y=st.floats(-100, 100),
     s=st.floats(0.01, 100),
 )
+# terms of 4375 that cancel: the two sides differ by 1.1e-12
+@example(a=0.0, b=7.0, c=-6.999999999999998, x=5.0, y=5.0, s=5.0)
 def test_evaluate_edge_scales_quadratically(a, b, c, x, y, s):
     cost = QuadraticCost(a, b, c)
     expected = s * s * evaluate_edge(cost, x, y)
     got = evaluate_edge(cost, s * x, s * y)
-    assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    # Both sides approximate s*s times the exact cost E, whose terms sum in
+    # magnitude to T = |a x x| + |b x y| + |c y y|. With u = 2**-53, each
+    # rounding scales a value by (1 + d), |d| <= u. `evaluate_edge` rounds
+    # each term at most four times (two products, two sums), so it is within
+    # 4u T of E to first order. `expected` rounds s*s and that product once
+    # more: within 6u s*s T. `got` also rounds s*x and s*y, which enter each
+    # term squared: within 6u s*s T. The sides differ by at most 12u s*s T,
+    # and 16u covers the second-order terms. A product that underflows errs
+    # by up to 2**-1075 absolute, which the later factors (at most 1e4 each,
+    # two of them) and the dozen roundings keep below 2**-1040.
+    terms = abs(a * x * x) + abs(b * x * y) + abs(c * y * y)
+    bound = 16 * 2.0**-53 * s * s * terms + 2.0**-1040
+    assert got == pytest.approx(expected, rel=1e-12, abs=bound)
 
 
 def test_global_cost_worked_example(fig1):
@@ -156,7 +170,8 @@ def test_duplicate_pair_rejected():
 
 
 def test_a_problem_built_directly_names_an_unknown_scope_agent():
-    with pytest.raises(ProblemFormatError, match=r"^constraints\[1\]\.scope: unknown agent 'x9'$"):
+    with pytest.raises(ProblemFormatError,
+                       match=r"^constraints\[1\]\.scope\[0\]: unknown agent 'x9'$"):
         Problem(
             domains={"x1": ContinuousDomain(-1, 1), "x2": ContinuousDomain(-1, 1)},
             constraints=[
@@ -172,7 +187,7 @@ def test_a_problem_built_directly_names_an_unknown_scope_agent():
     ((1.0, 0.0, -math.inf), "c"),
 ])
 def test_a_non_finite_coefficient_is_named(coeffs, name):
-    with pytest.raises(ProblemFormatError, match=f"^coefficient {name} must be finite$"):
+    with pytest.raises(ProblemFormatError, match=f"^{name}: number must be finite$"):
         QuadraticCost(*coeffs)
 
 
@@ -183,15 +198,17 @@ def test_constraint_between_names_a_missing_pair(fig1):
 
 
 def test_self_loop_rejected():
-    with pytest.raises(ProblemFormatError, match="self-loop"):
+    with pytest.raises(ProblemFormatError, match="^scope: scope endpoints must differ$"):
         Constraint("x1", "x1", QuadraticCost(1, 0, 0))
 
 
 def test_invalid_domain_rejected():
-    with pytest.raises(ProblemFormatError):
+    with pytest.raises(ProblemFormatError, match="^domain: lower bound must be < upper bound$"):
         ContinuousDomain(2.0, 2.0)
-    with pytest.raises(ProblemFormatError):
+    with pytest.raises(ProblemFormatError, match=r"^domain\[1\]: number must be finite$"):
         ContinuousDomain(0.0, math.inf)
+    with pytest.raises(ProblemFormatError, match=r"^domain\[0\]: number must be finite$"):
+        ContinuousDomain(math.nan, 1.0)
 
 
 def test_ordinals_follow_alphabetical_ids():
@@ -214,7 +231,8 @@ def _doc(agents='{"id": "x1", "domain": [-1, 1]}, {"id": "x2", "domain": [-1, 1]
     return f'{{"agents": [{agents}], "constraints": [{constraints}]}}'
 
 
-# one case per check of parse_problem, in the order the checks run
+# one case per check of parse_problem and of the types it builds, in the
+# order the checks run: each entry's shape, then its values, then the graph
 @pytest.mark.parametrize("text, message", [
     pytest.param("[]", "$: expected a JSON object", id="not-an-object"),
     pytest.param('{"constraints": []}', "$: missing key 'agents'", id="agents-missing"),
@@ -227,8 +245,6 @@ def _doc(agents='{"id": "x1", "domain": [-1, 1]}, {"id": "x2", "domain": [-1, 1]
                  "line 1 column 2 (char 1)", id="malformed-json"),
     pytest.param(_doc(agents='{"id": "x1", "domain": [NaN, 1]}', constraints=""),
                  "non-finite literal 'NaN' is not allowed", id="nan-literal"),
-    pytest.param('{"agents": [], "constraints": []}', "problem needs at least one agent",
-                 id="no-agents"),
     pytest.param(_doc(agents="[]", constraints=""), "agents[0]: expected an object",
                  id="agent-not-an-object"),
     pytest.param(_doc(agents='{"domain": [-1, 1]}', constraints=""),
@@ -259,16 +275,18 @@ def _doc(agents='{"id": "x1", "domain": [-1, 1]}, {"id": "x2", "domain": [-1, 1]
                  "constraints[0].scope: expected [i, j]", id="scope-not-a-pair"),
     pytest.param(_doc(constraints='{"scope": ["x1", 2], "a": 1, "b": 0, "c": 0}'),
                  "constraints[0].scope[1]: expected an agent id", id="scope-end-not-a-string"),
-    pytest.param(_doc(constraints='{"scope": ["x9", "x2"], "a": 1, "b": 0, "c": 0}'),
-                 "constraints[0].scope[0]: unknown agent 'x9'", id="scope-end-unknown"),
-    pytest.param(_doc(constraints='{"scope": ["x1", "x1"], "a": 1, "b": 0, "c": 0}'),
-                 "constraints[0].scope: scope endpoints must differ", id="self-loop"),
     pytest.param(_doc(constraints='{"scope": ["x1", "x2"], "b": 0, "c": 0}'),
                  "constraints[0].a: missing coefficient", id="coefficient-missing"),
-    pytest.param(_doc(constraints='{"scope": ["x1", "x2"], "a": 1, "b": -1e999, "c": 0}'),
-                 "constraints[0].b: number must be finite", id="coefficient-not-finite"),
     pytest.param(_doc(constraints='{"scope": ["x1", "x2"], "a": 1, "b": 0, "c": null}'),
                  "constraints[0].c: expected a number", id="coefficient-not-a-number"),
+    pytest.param(_doc(constraints='{"scope": ["x1", "x2"], "a": 1, "b": -1e999, "c": 0}'),
+                 "constraints[0].b: number must be finite", id="coefficient-not-finite"),
+    pytest.param(_doc(constraints='{"scope": ["x1", "x1"], "a": 1, "b": 0, "c": 0}'),
+                 "constraints[0].scope: scope endpoints must differ", id="self-loop"),
+    pytest.param('{"agents": [], "constraints": []}', "problem needs at least one agent",
+                 id="no-agents"),
+    pytest.param(_doc(constraints='{"scope": ["x9", "x2"], "a": 1, "b": 0, "c": 0}'),
+                 "constraints[0].scope[0]: unknown agent 'x9'", id="scope-end-unknown"),
     pytest.param(_doc(constraints='{"scope": ["x1", "x2"], "a": 1, "b": 0, "c": 0}, '
                                   '{"scope": ["x2", "x1"], "a": 0, "b": 0, "c": 1}'),
                  "constraints[1]: duplicate constraint between 'x2' and 'x1'",
@@ -276,6 +294,9 @@ def _doc(agents='{"id": "x1", "domain": [-1, 1]}, {"id": "x2", "domain": [-1, 1]
     pytest.param(_doc(agents='{"id": "x1", "domain": [-1, 1]}, {"id": "x2", "domain": [-1, 1]}, '
                              '{"id": "x3", "domain": [-1, 1]}'),
                  "constraint graph is not connected", id="disconnected"),
+    pytest.param(_doc(constraints='{"scope": ["x1", "x9"], "a": 1, "b": 0, "c": 0}, '
+                                  '{"scope": ["x1", "x2"], "b": 0, "c": 0}'),
+                 "constraints[1].a: missing coefficient", id="entries-before-graph"),
 ])
 def test_parse_reports_each_fault_with_its_path(text, message):
     with pytest.raises(ProblemFormatError) as exc:
