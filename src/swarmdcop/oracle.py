@@ -22,8 +22,8 @@ import numpy as np
 from .model import Problem, cost_columns, evaluate_edge, global_cost
 from .pseudotree import build_bfs_pseudotree
 from .runtime import AnytimeTrace, TraceRow
-from .swarm import (RootState, Swarm, SwarmParams, block_rows, integer_field, iteration_count,
-                    root_update)
+from .swarm import (NaNFitness, RootState, Swarm, SwarmParams, block_rows, integer_field,
+                    iteration_count, root_update)
 
 # refuse grids larger than this many points
 GRID_CAP = 10**7
@@ -109,7 +109,11 @@ def centralized_gcpso(problem: Problem, params: SwarmParams, iterations: int,
         for parents, children in child_folds:
             sums[parents] += sums[children]
         fitness = sums[-1] if aggregators else np.zeros(K)  # one agent: no edges
-        swarm.step(root_update(root, fitness, params, t))
+        try:
+            best = root_update(root, fitness, params, t)
+        except NaNFitness as exc:
+            raise exc.naming_the_edge(problem, position) from None
+        swarm.step(best)
         trace.rows.append(TraceRow(t + 1, 0, root.gbest_fitness, 0, 0))
     return trace
 

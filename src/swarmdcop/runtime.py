@@ -22,10 +22,13 @@ carrying it arrives: verdict t is judged only after the agent's edge costs
 of t, so an UPDATE carries the agent's next verdict or one it has applied.
 It holds the positions of the iteration it is at, one vector per H member,
 until its edge costs go out: an H member reaches t+1 only under verdict t,
-which needed the agent's edge costs of t. The final iteration's positions
-are held too, but never costed. Any other VALUE or UPDATE raises,
-naming the agent, kind, sender and iteration, as a late, duplicate or unowed
-fitness contribution does.
+which needed the agent's edge costs of t. No agent costs the final
+iteration's positions, so the final UPDATE carries the verdict only, and
+the agent holds a marker for each H member whose final UPDATE has arrived.
+Any other VALUE or UPDATE raises, naming the agent, kind, sender and
+iteration, as a late, duplicate or unowed fitness contribution does; so
+does one whose positions are missing before the final iteration or present
+on it.
 
 Delivery is synchronous: an envelope sent in round r arrives in round r+1,
 and only the agents with mail fire, in ordinal order whatever the order of
@@ -76,8 +79,8 @@ import numpy as np
 
 from .model import Problem, QuadraticCost, cost_columns, evaluate_edge
 from .pseudotree import PseudoTree, build_bfs_pseudotree
-from .swarm import (AgentSwarmState, BestInfo, RootState, Swarm, SwarmParams, block_rows,
-                    iteration_count, root_update)
+from .swarm import (AgentSwarmState, BestInfo, NaNFitness, RootState, Swarm, SwarmParams,
+                    block_rows, iteration_count, root_update)
 
 
 # A run of at least this many edge costs in one round is evaluated as one
@@ -116,10 +119,16 @@ class Envelope:
     best: BestInfo | None = None
 
 
+# held for an H member in place of its final positions, which its final
+# UPDATE does not carry: no agent costs them, but a duplicate must raise
+_FINAL = object()
+
+
 def envelope_scalars(env: Envelope, K: int) -> int:
-    """Payload size in scalars: K per vector; UPDATE = positions + verdict."""
+    """Payload size in scalars: K per vector; UPDATE = positions, if any, +
+    verdict (K improved flags, gbest index/value/changed, rho)."""
     if env.kind is _UPDATE:
-        return 2 * K + 4  # K positions, K improved flags, gbest index/value/changed, rho
+        return K + 4 if env.values is None else 2 * K + 4
     return K
 
 
@@ -255,9 +264,9 @@ class AgentMachine:
         self.own_iter = 0               # iteration of the current positions
         self.edge_done_iter = -1
         # H member -> its positions of own_iter until the edge costs on them
-        # go out (None before they arrive), in H order; n_held of them have
-        # arrived
-        self.held: dict[str, np.ndarray | None] = dict.fromkeys(self.H)
+        # go out (None before they arrive; `_FINAL` once its final UPDATE
+        # has), in H order; n_held of them have arrived
+        self.held: dict[str, np.ndarray | object | None] = dict.fromkeys(self.H)
         self.n_held = 0
         # the contributions to the fitness sum of iteration fitness_next, one
         # per fold slot (None until it arrives); n_parts of them have arrived
@@ -290,13 +299,14 @@ class AgentMachine:
         the envelopes sent to the outbox; the simulator fills in their edge
         costs this round.
         A VALUE or UPDATE applies its verdict on arrival, if not applied yet,
-        and its positions are held until this agent's edge costs go out (the
-        final ones for good: no edge costs go out on them).
+        and its positions are held until this agent's edge costs go out; a
+        final UPDATE, which carries none, leaves a marker for good.
         A fitness contribution is held in its fold slot until the fold is
         complete (see `_take_sum`).
-        Raises on a VALUE or UPDATE the protocol cannot send this agent now,
-        on a verdict other than the one the swarm was stepped under, and on
-        a fitness contribution that is late, duplicate or not owed."""
+        Raises on a VALUE or UPDATE the protocol cannot send this agent now
+        or whose payload does not fit its iteration, on a verdict other than
+        the one the swarm was stepped under, and on a fitness contribution
+        that is late, duplicate or not owed."""
         if not self.initialized:
             self.initialized = True
             if self.moved is not None:
@@ -304,7 +314,7 @@ class AgentMachine:
             outbox = self.outbox
             for j in self.L:
                 outbox.append(Envelope(_VALUE, 0, self.id, j, self.position))
-        held, parts = self.held, self.parts
+        held, parts, final = self.held, self.parts, self.max_iterations
         for env in inbox:
             kind, sender, t = env.kind, env.sender, env.iteration
             if kind is _EDGE_FITNESS or kind is _AGG_FITNESS:
@@ -346,7 +356,18 @@ class AgentMachine:
             if t == self.edge_done_iter or held[sender] is not None:
                 raise RuntimeError(
                     f"{self.id}: duplicate {kind.value} from {sender} for iteration {t}")
-            held[sender] = env.values
+            values = env.values
+            if t == final:
+                if values is not None:
+                    raise RuntimeError(
+                        f"{self.id}: {kind.value} from {sender} for iteration {t} carries "
+                        f"positions, but iteration {t} is the final one")
+                values = _FINAL
+            elif values is None:
+                raise RuntimeError(
+                    f"{self.id}: {kind.value} from {sender} for iteration {t} carries no "
+                    f"positions before the final iteration {final}")
+            held[sender] = values
             self.n_held += 1
 
         if self.n_held == len(held) and held and self.own_iter < self.max_iterations:
@@ -379,13 +400,16 @@ class AgentMachine:
 
     def _apply_update(self, best: BestInfo, round_no: int):
         """Move on to the positions the swarm's step under `best` made and
-        send them down."""
+        send them down; the final verdict goes down without them."""
         self.own_iter = t = best.iteration + 1
         self.position = position = self.swarm.position[self.ordinal]
         if self.moved is not None:
             self.moved.append(Moved(round_no, self.id, t, position))
-        # the final verdict still floods down so every agent consumes it; the
-        # `done` guard on the evaluation phase stops the cascade afterwards
+        # the final verdict still floods down so every agent consumes it, but
+        # no agent costs the final positions; the `done` guard on the
+        # evaluation phase stops the cascade afterwards
+        if t == self.max_iterations:
+            position = None
         outbox, sender = self.outbox, self.id
         for j in self.L:
             outbox.append(Envelope(_UPDATE, t, sender, j, position, None, best))
@@ -499,10 +523,14 @@ class Simulator:
                     on_event(sent[k])
                 start = end
         # as `envelope_scalars` counts them: K each, and K + 4 more per UPDATE
+        # with positions, 4 more per final one. Every UPDATE sent once the
+        # root has applied the final verdict is a final one, and none before
+        # it is: the root judges the final iteration only after every UPDATE
+        # with its positions has been delivered.
         K = self.params.K
         updates = [env.kind for env in sent].count(_UPDATE)
         self.cum_envelopes += len(sent)
-        self.cum_scalars += K * len(sent) + (K + 4) * updates
+        self.cum_scalars += K * len(sent) + (4 if self.root.done else K + 4) * updates
         self.queue += sent
         sent.clear()
 
@@ -561,12 +589,17 @@ class Simulator:
         agent's of that round."""
         machines, inboxes, sent = self.machines, self._inboxes, self._sent
         ends = [] if self.on_event is not None else None
-        for o in fired:
-            inbox = inboxes[o]
-            machines[o].fire(round_no, inbox)
-            inbox.clear()
-            if ends is not None:
-                ends.append(len(sent))
+        try:
+            for o in fired:
+                inbox = inboxes[o]
+                machines[o].fire(round_no, inbox)
+                inbox.clear()
+                if ends is not None:
+                    ends.append(len(sent))
+        except NaNFitness as exc:
+            # the root judges before it steps the swarm: `position` is the
+            # generation it judged
+            raise exc.naming_the_edge(self.problem, self.swarm.position) from None
         if self._edges.envelopes:
             self._evaluate_edges()
         self._register_sends(fired, ends)

@@ -39,11 +39,12 @@ import math
 import operator
 import os
 from dataclasses import dataclass
+from numbers import Real
 from types import SimpleNamespace
 
 import numpy as np
 
-from .model import ContinuousDomain, Problem
+from .model import ContinuousDomain, Problem, evaluate_edge
 from .rng import DRAW_INIT, DRAW_R1, DRAW_R2, keyed_uniforms
 
 # Most elements in one working array of a block of agents or edges by K
@@ -102,6 +103,8 @@ class SwarmParams:
             raise ValueError("K must be >= 1")
         for name in ("w", "c1", "c2"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not (0 <= value < math.inf):  # false for NaN
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.max_sc < 1 or self.max_fc < 1:
@@ -298,6 +301,41 @@ def rho_update(rho: float, s_c: int, f_c: int, max_sc: int, max_fc: int, t: int)
     return rho
 
 
+class NaNFitness(ValueError):
+    """A particle's fitness is NaN; `root_update` raises it naming the
+    iteration and the particle, and each solver goes on to name the edge
+    (`naming_the_edge`)."""
+
+    def __init__(self, iteration: int, particle: int):
+        super().__init__(f"iteration {iteration}: the fitness of particle {particle} is NaN")
+        self.particle = particle
+
+    def naming_the_edge(self, problem: Problem, position: np.ndarray) -> ValueError:
+        """This error, naming the edge behind the NaN at the (n, K) positions
+        judged: the first constraint, in constraint-list order, whose cost
+        is NaN, or else the first `inf` and the first `-inf` edge cost,
+        whose sum is NaN. Searched on the error path only."""
+        x, ordinals = position[:, self.particle], problem.ordinals
+        with np.errstate(all="ignore"):
+            costs = [evaluate_edge(con.cost, x[ordinals[con.i]], x[ordinals[con.j]])
+                     for con in problem.constraints]
+
+        def edge(c: int) -> str:
+            con = problem.constraints[c]
+            return f"constraints[{c}] ({con.i}, {con.j})"
+
+        nan = next((c for c, cost in enumerate(costs) if cost != cost), None)
+        high = next((c for c, cost in enumerate(costs) if cost == math.inf), None)
+        low = next((c for c, cost in enumerate(costs) if cost == -math.inf), None)
+        if nan is not None:
+            why = f"the cost of {edge(nan)} is NaN"
+        elif high is not None and low is not None:
+            why = f"{edge(high)} costs inf and {edge(low)} costs -inf"
+        else:  # partial sums that overflow to inf and -inf
+            why = "no edge costs NaN, and no two cost inf and -inf: the sum overflows"
+        return ValueError(f"{self}: {why}")
+
+
 def root_update(root: RootState, fitness: np.ndarray, params: SwarmParams,
                 t: int) -> BestInfo:
     """Judge one iteration's fitness vector against the running bests and
@@ -311,8 +349,7 @@ def root_update(root: RootState, fitness: np.ndarray, params: SwarmParams,
     """
     low = fitness.min()
     if low != low:  # the min of an array with a NaN is NaN
-        k = int(np.argmax(np.isnan(fitness)))
-        raise ValueError(f"iteration {t}: the fitness of particle {k} is NaN")
+        raise NaNFitness(t, int(np.argmax(np.isnan(fitness))))
     improved = fitness < root.pbest_fitness
     new_pbest = np.where(improved, fitness, root.pbest_fitness)
     success = new_pbest[root.gbest_index] < root.gbest_fitness

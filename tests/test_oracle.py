@@ -18,6 +18,7 @@ from swarmdcop import (
     generate,
     global_cost,
     grid_search,
+    oracle,
     run,
     runtime,
     swarm,
@@ -209,6 +210,29 @@ def test_grid_cap_enforced(fig1):
         grid_search(fig1, GridSpec(points_per_dim=101))  # 101**4 points
     with pytest.raises(ValueError):
         GridSpec(points_per_dim=1)
+
+
+def test_grid_cap_admits_a_grid_at_the_cap_and_refuses_one_point_more(fig1, monkeypatch):
+    made = []  # the grid's axes and costs, the first arrays made after the check
+
+    def axes(*args, linspace=np.linspace):
+        made.append("axis")
+        return linspace(*args)
+
+    def costs(*args, global_cost=oracle.global_cost):
+        made.append("costs")
+        return global_cost(*args)
+
+    monkeypatch.setattr(oracle.np, "linspace", axes)
+    monkeypatch.setattr(oracle, "global_cost", costs)
+    monkeypatch.setattr(oracle, "GRID_CAP", 5**4)
+    assert grid_search(fig1, GridSpec(points_per_dim=5))[1] == -100.0
+    assert made == ["axis"] * 4 + ["costs"]
+    made.clear()
+    monkeypatch.setattr(oracle, "GRID_CAP", 5**4 - 1)
+    with pytest.raises(ValueError, match="^grid of 625 points exceeds cap 624$"):
+        grid_search(fig1, GridSpec(points_per_dim=5))
+    assert made == []
 
 
 @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])

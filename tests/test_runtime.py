@@ -105,9 +105,13 @@ def test_two_agent_iteration_period():
 
 
 def test_single_agent_runs_with_zero_fitness():
+    # a lone agent judges every iteration in round 0 and sends nothing
     problem = Problem(domains={"x1": ContinuousDomain(-1, 1)}, constraints=[])
-    trace = run(problem, SwarmParams(K=3, seed=5), 10)
+    sim = Simulator(problem, SwarmParams(K=3, seed=5), 10)
+    trace = sim.run_to_quiescence()
     assert [row.gbest_fitness for row in trace.rows] == [0.0] * 10
+    assert [(row.round, row.envelopes, row.scalars) for row in trace.rows] == [(0, 0, 0)] * 10
+    assert (sim.round, sim.cum_envelopes, sim.cum_scalars) == (0, 0, 0)
 
 
 def test_trace_is_deterministic():
@@ -203,8 +207,9 @@ def test_best_info_propagation_bound():
 
 
 def test_quiescence_leaves_no_pending_state():
-    # every agent ends holding its H's final positions, which no one evaluates;
-    # the ER graph has cross edges, whose final positions come by UPDATE
+    # every agent ends holding a marker for each H member's final UPDATE,
+    # which carries no positions; the ER graph has cross edges, whose final
+    # verdict comes by UPDATE too
     for spec in (GenSpec(topology="random_tree", n=6, seed=18),
                  GenSpec(topology="erdos_renyi", n=20, seed=0, p=0.2)):
         sim = Simulator(generate(spec), SwarmParams(K=4, seed=7), 8)
@@ -212,9 +217,9 @@ def test_quiescence_leaves_no_pending_state():
         assert sim.quiescent
         for machine in sim.machines:
             assert machine.done
-            # the final positions of all of H, and nothing else
+            # the final UPDATEs of all of H, and nothing else
             assert list(machine.held) == machine.H
-            assert all(values is not None for values in machine.held.values())
+            assert all(values is runtime._FINAL for values in machine.held.values())
             assert machine.n_held == len(machine.H)
             # no fold in progress: every fold was summed and sent or judged
             assert machine.n_parts == 0
@@ -342,14 +347,16 @@ class _StreamDigest:
             update(f"R {event.round} {event.delivered} {event.fired} {event.sent}".encode())
 
 
-# sha256 of the whole event stream and the trace CSV, recorded before the
-# simulator reused its per-agent buffers; any change to the envelopes, their
-# order or their payloads changes them
+# sha256 of the whole event stream and the trace CSV, recorded when the final
+# UPDATE stopped carrying positions (the earlier values were reproduced from
+# that change's stream with the final positions and the last row's scalars
+# put back); any change to the envelopes, their order or their payloads
+# changes them
 STREAM_DIGESTS = {
-    ("sf200-k8", "synchronous"): "7b0ad04f502ef0ba8f08c9db41fe53b8ff0b7e3fc8986ffc17e13640a02f3cd9",
-    ("sf200-k8", "shuffled"): "09c997cf41e0f17990340b99f73dd3e683566c5f9e4099a4d2a16d6109e20f29",
-    ("er20-k16", "synchronous"): "5610b4cce363ab6c545d34aa72e2150d576f04e10b4d283c3e159d29f37fda5d",
-    ("er20-k16", "shuffled"): "a2244dd72bc39d740206ba40aa18df2887132615be6e5d1e146f47c79c5667a8",
+    ("sf200-k8", "synchronous"): "44d9ddd9bb15dce031038b3f13d4fde34d49fcc40a7016cbd496e2e060fb2158",
+    ("sf200-k8", "shuffled"): "1175bf422f25c642a42e8d8e733d8298ea29999175daca857391d2ed08752749",
+    ("er20-k16", "synchronous"): "f737b07ce905232965c71bf5433a185af0b875d6fe45625451368d94e1ae00a5",
+    ("er20-k16", "shuffled"): "1bc50c313a3174550b920ba1280fac1938d8fed1ce5458539a257a8734d30051",
 }
 
 
@@ -450,6 +457,32 @@ def test_duplicate_final_update_raises(fig1, fig1_force, delay):
         sim.step()
     sim.queue.append(replace(final))  # delivered `delay` rounds after the original
     with pytest.raises(RuntimeError, match="x3: duplicate UPDATE from x1 for iteration 3"):
+        sim.run_to_quiescence()
+
+
+@pytest.mark.parametrize("iteration, values, match", [
+    (2, None, "x3: UPDATE from x1 for iteration 2 carries no positions before the final "
+              "iteration 3"),
+    (3, np.zeros(2), "x3: UPDATE from x1 for iteration 3 carries positions, but iteration 3 "
+                     "is the final one"),
+], ids=["positions-missing", "final-with-positions"])
+def test_an_update_whose_payload_does_not_fit_its_iteration_raises(fig1, fig1_force, iteration,
+                                                                   values, match):
+    sim = _forced_sim(fig1, fig1_force, iterations=3)
+    while (update := next((env for env in sim.queue if env.kind is Kind.UPDATE
+                           and env.iteration == iteration and env.recipient == "x3"),
+                          None)) is None:
+        sim.step()
+    update.values = values  # the original, in flight: no duplicate
+    with pytest.raises(RuntimeError, match=f"^{match}$"):
+        sim.run_to_quiescence()
+
+
+def test_a_value_without_positions_raises(fig1, fig1_force):
+    sim = _forced_sim(fig1, fig1_force, iterations=3)
+    next(env for env in sim.queue if env.recipient == "x3").values = None
+    with pytest.raises(RuntimeError, match="^x3: VALUE from x1 for iteration 0 carries no "
+                                           "positions before the final iteration 3$"):
         sim.run_to_quiescence()
 
 
@@ -666,16 +699,38 @@ def test_a_verdict_the_swarm_was_not_stepped_under_raises(fig1, fig1_force):
 
 
 def test_a_nan_fitness_raises_in_both_solvers():
-    # a*x1^2 overflows to inf and b*x1*x2 to -inf; where both do, the cost is NaN
-    problem = Problem(domains={a: ContinuousDomain(0.0, 160.0) for a in ("x1", "x2")},
-                      constraints=[Constraint("x1", "x2", QuadraticCost(1e304, -1e304, 0.0))])
+    shapes = [
+        # a*x1^2 overflows to inf and b*x1*x2 to -inf; where both do, the cost
+        # is NaN
+        ([Constraint("x1", "x2", QuadraticCost(1e304, -1e304, 0.0))],
+         "iteration 0: the fitness of particle 3 is NaN: the cost of constraints[0] (x1, x2) "
+         "is NaN"),
+        # the same edge after a finite one and before one that costs inf at
+        # particle 3
+        ([Constraint("x2", "x3", QuadraticCost(1.0, 0.0, 1.0)),
+          Constraint("x1", "x2", QuadraticCost(1e304, -1e304, 0.0)),
+          Constraint("x1", "x3", QuadraticCost(1e304, -1e304, 0.0))],
+         "iteration 0: the fitness of particle 3 is NaN: the cost of constraints[1] (x1, x2) "
+         "is NaN"),
+        # every edge cost is a number, but inf plus -inf is not (x3-x4 costs
+        # inf too, after x2-x3)
+        ([Constraint("x1", "x2", QuadraticCost(1.0, 0.0, 1.0)),
+          Constraint("x1", "x3", QuadraticCost(0.0, 0.0, -1e304)),
+          Constraint("x2", "x3", QuadraticCost(0.0, 0.0, 1e304)),
+          Constraint("x3", "x4", QuadraticCost(1e304, 0.0, 0.0))],
+         "iteration 0: the fitness of particle 4 is NaN: constraints[2] (x2, x3) costs inf and "
+         "constraints[1] (x1, x3) costs -inf"),
+    ]
     params = SwarmParams(K=8, seed=4)
-    match = "iteration 0: the fitness of particle 3 is NaN"
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match=match):
-            run(problem, params, 5)
-        with pytest.raises(ValueError, match=match):
-            centralized_gcpso(problem, params, 5)
+    for constraints, message in shapes:
+        agents = sorted({a for con in constraints for a in (con.i, con.j)})
+        problem = Problem(domains={a: ContinuousDomain(0.0, 160.0) for a in agents},
+                          constraints=constraints)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run(problem, params, 5)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                centralized_gcpso(problem, params, 5)
 
 
 def test_force_init_validation(fig1):
@@ -711,8 +766,11 @@ def test_update_envelopes_batch_values_and_verdict(fig1, fig1_force):
     updates = [e for e in rec.sent if e.kind is Kind.UPDATE]
     assert updates, "expected UPDATE traffic"
     for env in updates:
-        assert env.values is not None and env.best is not None
+        # positions on every UPDATE but the final ones, which no agent costs
+        assert (env.values is None) == (env.iteration == 3)
+        assert env.best is not None
         assert env.best.iteration == env.iteration - 1
+    assert len([e for e in updates if e.iteration == 3]) == len(fig1.constraints)
     values_only = [e for e in rec.sent if e.kind is Kind.VALUE]
     assert all(e.iteration == 0 and e.best is None for e in values_only)
 
@@ -728,6 +786,29 @@ def test_envelope_scalars_accounting(fig1, fig1_force):
     assert sim.cum_scalars == expected
     assert sim.cum_envelopes == len(rec.sent)
     assert sum(r.delivered for r in rec.rounds) == len(rec.sent)
+
+
+@pytest.mark.parametrize("schedule", [None, 6], ids=["synchronous", "shuffled"])
+@pytest.mark.parametrize("spec", [
+    GenSpec("erdos_renyi", 12, 8, p=0.4),
+    GenSpec("scale_free", 14, 3, m=2),
+    GenSpec("random_tree", 13, 5),
+], ids=["er", "scale-free", "tree"])
+def test_scalars_count_the_final_update_as_its_verdict(spec, schedule):
+    # E VALUEs, T*E edge costs and T*A aggregates of K; (T-1)*E UPDATEs of
+    # K positions and a K+4 verdict; E final UPDATEs of the verdict only
+    problem, K, T = generate(spec), 7, 9
+    sim = Simulator(problem, SwarmParams(K=K, seed=2), T)
+    trace = sim.run_to_quiescence() if schedule is None else _run_shuffled(sim, schedule)
+    E = len(problem.constraints)
+    A = sum(1 for a in problem.ids if a != sim.tree.root and sim.tree.L[a])
+    assert sim.cum_envelopes == (2 * T + 1) * E + T * A
+    assert sim.cum_scalars == (K * E + K * T * E + K * T * A + (2 * K + 4) * (T - 1) * E
+                               + (K + 4) * E)
+    # the last row counts the root's final UPDATEs and no one else's
+    root_finals = len(sim.tree.L[sim.tree.root])
+    assert trace.rows[-1].scalars == (K * E + K * T * E + K * T * A
+                                      + (2 * K + 4) * (T - 1) * E + (K + 4) * root_finals)
 
 
 def test_iterations_must_be_positive(fig1):

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from swarmdcop import ContinuousDomain, GenSpec, Problem, SwarmParams, generate, swarm
+from swarmdcop import (Constraint, ContinuousDomain, GenSpec, Problem, QuadraticCost, SwarmParams,
+                       generate, swarm)
 from swarmdcop.rng import DRAW_INIT, DRAW_R1, DRAW_R2, keyed_uniforms
 from swarmdcop.swarm import (
     BestInfo,
+    NaNFitness,
     RootState,
     Swarm,
     apply_best,
@@ -163,6 +165,21 @@ def test_root_update_compares_infinities_and_raises_on_nan():
     assert best.improved.tolist() == [False, True, True]
     with pytest.raises(ValueError, match="iteration 1: the fitness of particle 2 is NaN"):
         root_update(root, np.array([0.0, -math.inf, math.nan]), PARAMS, t=1)
+
+
+def test_a_nan_sum_of_finite_edge_costs_names_no_edge():
+    # every cost is finite, but partial sums of them can overflow to inf and
+    # -inf, whose sum is NaN (the solvers' tests cover a NaN edge and an
+    # inf/-inf pair)
+    problem = Problem(domains={a: ContinuousDomain(-1.0, 1.0) for a in ("x1", "x2", "x3", "x4")},
+                      constraints=[Constraint("x1", "x2", QuadraticCost(1e308, 0.0, 0.0)),
+                                   Constraint("x1", "x3", QuadraticCost(1e308, 0.0, 0.0)),
+                                   Constraint("x2", "x4", QuadraticCost(-1e308, 0.0, 0.0)),
+                                   Constraint("x3", "x4", QuadraticCost(-1e308, 0.0, 0.0))])
+    error = NaNFitness(2, 1).naming_the_edge(problem, np.array([[0.0, 1.0]] * 4))
+    assert type(error) is ValueError
+    assert str(error) == ("iteration 2: the fitness of particle 1 is NaN: no edge costs NaN, "
+                          "and no two cost inf and -inf: the sum overflows")
 
 
 def test_root_update_single_particle():
@@ -328,4 +345,13 @@ def test_params_reject_non_finite_coefficients(field, value):
     # NaN compares false with everything: a bare `< 0` test lets it through,
     # and the run then fails later on a NaN fitness
     with pytest.raises(ValueError, match=rf"^{field} must be finite and >= 0, got {value}$"):
+        SwarmParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["w", "c1", "c2"])
+@pytest.mark.parametrize("value", ["a", True, None], ids=["str", "bool", "none"])
+def test_params_reject_coefficients_that_are_not_real_numbers(field, value):
+    # a bool is an int, which would run as 0 or 1
+    message = f"{field} must be a real number, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         SwarmParams(**{field: value})
