@@ -15,7 +15,7 @@ from .model import (
     serialize_problem,
 )
 from .oracle import GridSpec, centralized_gcpso, grid_search
-from .pseudotree import PseudoTree, build_bfs_pseudotree, priority_less
+from .pseudotree import PseudoTree, build_bfs_pseudotree
 from .runtime import AnytimeTrace, Simulator, run
 from .swarm import BestInfo, SwarmParams
 
@@ -42,7 +42,6 @@ __all__ = [
     "grid_search",
     "load_problem",
     "parse_problem",
-    "priority_less",
     "run",
     "save_problem",
     "serialize_problem",

@@ -154,10 +154,6 @@ class Problem:
         if not _reaches_all(adjacency):
             raise ProblemFormatError("constraint graph is not connected")
 
-    def neighbors(self) -> dict[str, list[str]]:
-        """Adjacency lists in alphabetical order."""
-        return {a: sorted(nbrs) for a, nbrs in self.adjacency.items()}
-
     def constraint_between(self, u: str, v: str) -> Constraint:
         try:
             return self.adjacency[u][v]

@@ -37,9 +37,6 @@ class PseudoTree:
     # a child sends both)
     fitness_slots: dict[str, dict[tuple[str, bool], int]]
 
-    def priority_key(self, agent: str) -> tuple[int, str]:
-        return (self.depth[agent], agent)
-
 
 def build_bfs_pseudotree(problem: Problem) -> PseudoTree:
     """BFS from the alphabetically smallest id, neighbors visited alphabetically."""
@@ -78,11 +75,3 @@ def build_bfs_pseudotree(problem: Problem) -> PseudoTree:
                 slots[(child, True)] = len(slots)
     return PseudoTree(root=root, depth=depth, parent=parent, children=children, H=H, L=L,
                       d=depth[bfs[-1]], fitness_slots=fitness_slots)
-
-
-def priority_less(tree: PseudoTree, i: str, j: str) -> bool:
-    """True iff agent i has strictly lower priority than agent j."""
-    for agent in (i, j):
-        if agent not in tree.depth:
-            raise KeyError(f"unknown agent {agent!r}")
-    return tree.priority_key(i) > tree.priority_key(j)

@@ -32,7 +32,10 @@ on it.
 
 Delivery is synchronous: an envelope sent in round r arrives in round r+1,
 and only the agents with mail fire, in ordinal order whatever the order of
-the queue. Runs are bit-reproducible from (problem, params).
+the queue. Set-up builds the machines, then each sends its iteration-0
+positions down, in ordinal order; round 0 then fires the root alone, which
+has work only as a lone agent. Runs are bit-reproducible from
+(problem, params).
 
 The swarm steps once per verdict. All agents share one `swarm.Swarm`, as
 the centralized oracle holds one, and when the root judges iteration t it
@@ -47,16 +50,17 @@ object, or the run raises.
 
 Each round is one superstep. The simulator routes the round's deliveries
 into per-agent inboxes, and every agent with mail fires: it absorbs its
-inbox and runs the protocol, appending its sends to the simulator's outbox
-and its edge costs, with their operands, to the round's `EdgeBatch`. A
-firing makes no list or dict of its own: inboxes, held positions (a dict
-keyed by H) and fold slots (a list) are made at set-up and reset in place,
-so absorbing, folding and routing an envelope are a few dict or list
-lookups each, with no scan over agents, neighbors or slots, and a
-delivered envelope is freed once its recipient has fired. Then the round's
-edge costs are evaluated, long runs with one gathered `evaluate_edge` call
-each. Last, each agent's records and envelopes go out, in firing order;
-the round's sends are counted once, and then the root's verdicts are
+inbox and runs the protocol, appending its records to the simulator's one
+outbox as it makes them (its sends and, if observed, a `Moved` as it
+moves) and its edge costs, with their operands, to the round's
+`EdgeBatch`. A firing makes no list or dict of its own: inboxes, held
+positions (a dict keyed by H) and fold slots (a list) are made at set-up
+and reset in place, so absorbing, folding and routing an envelope are a
+few dict or list lookups each, with no scan over agents, neighbors or
+slots, and a delivered envelope is freed once its recipient has fired.
+Then the round's edge costs are evaluated, long runs with one gathered
+`evaluate_edge` call each. Last, the outbox goes out in the order it was
+made, its envelopes are counted and queued, and the root's verdicts are
 written to the trace. The root judges only in a round in which it fires
 alone, so each trace row counts the envelopes sent up to and including the
 root's. Every element is computed as the per-agent call computes it, and
@@ -221,20 +225,21 @@ class EdgeBatch:
 
 
 class AgentMachine:
-    """One agent: holds its swarm components, acts only on received envelopes.
-    Its sends go into the simulator's outbox, and its edge costs into the
-    round's `EdgeBatch`."""
+    """One agent: holds its swarm components, sends its iteration-0
+    positions at set-up (`start`) and then acts only on received envelopes.
+    Its records go into the simulator's outbox as it makes them, and its
+    edge costs into the round's `EdgeBatch`."""
 
     # slots: there is one instance per agent, and on CPython 3.11 an instance
     # with more than 26 attributes carries a 1.6 KB attribute dict, not 0.3 KB
     __slots__ = ("id", "ordinal", "max_iterations", "is_root", "H", "L",
                  "parent", "slots", "constraints", "swarm", "position",
-                 "outbox", "edge_batch", "moved", "initialized",
+                 "outbox", "edge_batch", "observed",
                  "own_iter", "edge_done_iter", "held", "n_held",
                  "fitness_next", "parts", "n_parts", "root_state", "completed")
 
     def __init__(self, agent_id: str, problem: Problem, tree: PseudoTree,
-                 max_iterations: int, on_event, swarm: Swarm, outbox: list,
+                 max_iterations: int, observed: bool, swarm: Swarm, outbox: list,
                  edge_batch: EdgeBatch):
         self.id = agent_id
         self.ordinal = problem.ordinals[agent_id]
@@ -254,13 +259,11 @@ class AgentMachine:
         # verdict, the one before until then
         self.swarm = swarm
         self.position = swarm.position[self.ordinal]
-        # shared by all agents: the simulator's outbox, every envelope sent
-        # this round, and the round's edge costs; and, if observed, this
-        # agent's Moved records to emit
+        # shared by all agents: the simulator's outbox, every record made
+        # this round, and the round's edge costs
         self.outbox = outbox
         self.edge_batch = edge_batch
-        self.moved: list[Moved] | None = [] if on_event is not None else None
-        self.initialized = False
+        self.observed = observed
         self.own_iter = 0               # iteration of the current positions
         self.edge_done_iter = -1
         # H member -> its positions of own_iter until the edge costs on them
@@ -277,6 +280,14 @@ class AgentMachine:
         self.root_state = RootState(np.full(swarm.params.K, np.inf)) if self.is_root else None
         self.completed: list[tuple[int, BestInfo, np.ndarray]] | None = (
             [] if self.is_root else None)
+
+    def start(self):
+        """Send the iteration-0 positions down, after their `Moved` record
+        if observed."""
+        if self.observed:
+            self.outbox.append(Moved(0, self.id, 0, self.position))
+        for j in self.L:
+            self.outbox.append(Envelope(_VALUE, 0, self.id, j, self.position))
 
     @property
     def gbest_index(self) -> int:
@@ -296,8 +307,8 @@ class AgentMachine:
 
     def fire(self, round_no: int, inbox: list[Envelope]):
         """Absorb `inbox` and run the protocol as far as it goes, appending
-        the envelopes sent to the outbox; the simulator fills in their edge
-        costs this round.
+        its records to the outbox; the simulator fills in the edge costs
+        this round.
         A VALUE or UPDATE applies its verdict on arrival, if not applied yet,
         and its positions are held until this agent's edge costs go out; a
         final UPDATE, which carries none, leaves a marker for good.
@@ -307,13 +318,6 @@ class AgentMachine:
         or whose payload does not fit its iteration, on a verdict other than
         the one the swarm was stepped under, and on a fitness contribution
         that is late, duplicate or not owed."""
-        if not self.initialized:
-            self.initialized = True
-            if self.moved is not None:
-                self.moved.append(Moved(round_no, self.id, 0, self.position))
-            outbox = self.outbox
-            for j in self.L:
-                outbox.append(Envelope(_VALUE, 0, self.id, j, self.position))
         held, parts, final = self.held, self.parts, self.max_iterations
         for env in inbox:
             kind, sender, t = env.kind, env.sender, env.iteration
@@ -403,8 +407,8 @@ class AgentMachine:
         send them down; the final verdict goes down without them."""
         self.own_iter = t = best.iteration + 1
         self.position = position = self.swarm.position[self.ordinal]
-        if self.moved is not None:
-            self.moved.append(Moved(round_no, self.id, t, position))
+        if self.observed:
+            self.outbox.append(Moved(round_no, self.id, t, position))
         # the final verdict still floods down so every agent consumes it, but
         # no agent costs the final positions; the `done` guard on the
         # evaluation phase stops the cascade afterwards
@@ -471,9 +475,10 @@ class AgentMachine:
 
 
 class Simulator:
-    """Round executor: deliver last round's envelopes, fire recipients in
-    ordinal order, evaluate the round's edge costs batched, queue the
-    recipients' sends for the next round.
+    """Round executor: set-up builds the machines, which send their
+    iteration-0 positions, and fires the root; each round delivers last
+    round's envelopes, fires the recipients in ordinal order, evaluates the
+    round's edge costs batched, emits the outbox and queues its envelopes.
 
     `on_event`, if given, is called with each `Envelope` as it is sent (it is
     delivered the next round), each `Moved`, each `Judged` and each round's
@@ -492,36 +497,37 @@ class Simulator:
 
         self.swarm = Swarm(problem, params, force_init)
         self._edges = EdgeBatch()
-        self._sent: list[Envelope] = []
-        self.machines = [AgentMachine(agent_id, problem, tree, iterations, on_event,
-                                      self.swarm, self._sent, self._edges)
+        # the round's records in the order they were made: every Envelope
+        # sent and, if observed, every Moved
+        self._outbox: list[Envelope | Moved] = []
+        self.machines = [AgentMachine(agent_id, problem, tree, iterations, on_event is not None,
+                                      self.swarm, self._outbox, self._edges)
                          for agent_id in problem.ids]
         # one inbox per agent, by ordinal, emptied after each firing
         self._inboxes: list[list[Envelope]] = [[] for _ in self.machines]
         self.root = self.machines[problem.ordinals[tree.root]]
+        # only once every machine is built: envelopes made in between the
+        # machines' long-lived objects raised peak RSS over a benchmark run
+        # on sf1600-k50 by 1.6 %
+        for machine in self.machines:
+            machine.start()
         self.round = 0
         self.queue: list[Envelope] = []
         self.cum_envelopes = 0
         self.cum_scalars = 0
         self.trace = AnytimeTrace()
-        self._run_round(0, range(len(self.machines)))
+        # no agent has mail yet; a lone root judges every verdict now
+        self._run_round(0, (self.root.ordinal,))
 
-    def _register_sends(self, fired, ends: list[int] | None):
-        """Count and queue the round's sends; if observed, emit each fired
-        machine's Moved records, then its envelopes (`ends`: where each
-        one's envelopes end in the outbox)."""
-        sent = self._sent
+    def _register_sends(self):
+        """Emit the round's records, if observed, in the order they were
+        made; then count and queue its envelopes."""
+        sent = records = self._outbox
         on_event = self.on_event
         if on_event is not None:
-            start = 0
-            for o, end in zip(fired, ends):
-                moved = self.machines[o].moved
-                for record in moved:
-                    on_event(record)
-                moved.clear()
-                for k in range(start, end):
-                    on_event(sent[k])
-                start = end
+            for record in records:
+                on_event(record)
+            sent = [record for record in records if record.__class__ is Envelope]
         # as `envelope_scalars` counts them: K each, and K + 4 more per UPDATE
         # with positions, 4 more per final one. Every UPDATE sent once the
         # root has applied the final verdict is a final one, and none before
@@ -532,7 +538,7 @@ class Simulator:
         self.cum_envelopes += len(sent)
         self.cum_scalars += K * len(sent) + (4 if self.root.done else K + 4) * updates
         self.queue += sent
-        sent.clear()
+        records.clear()
 
     def _drain_root(self, round_no: int):
         for t, best, fit in self.root.completed:
@@ -581,28 +587,25 @@ class Simulator:
 
     def _run_round(self, round_no: int, fired):
         """One superstep: every agent with mail fires in ordinal order, the
-        round's edge costs are evaluated batched, then each agent's records
-        and envelopes go out in firing order, and last the root's verdicts.
-        The root fires alone in a round in which it judges: verdict t needs
-        every envelope of iteration t delivered, and none of t+1 exists
-        before it. So each trace row counts the root's sends and no other
-        agent's of that round."""
-        machines, inboxes, sent = self.machines, self._inboxes, self._sent
-        ends = [] if self.on_event is not None else None
+        round's edge costs are evaluated batched, then the round's records
+        go out, and last the root's verdicts. The root fires alone in a
+        round in which it judges: verdict t needs every envelope of
+        iteration t delivered, and none of t+1 exists before it. So each
+        trace row counts the root's sends and no other agent's of that
+        round."""
+        machines, inboxes = self.machines, self._inboxes
         try:
             for o in fired:
                 inbox = inboxes[o]
                 machines[o].fire(round_no, inbox)
                 inbox.clear()
-                if ends is not None:
-                    ends.append(len(sent))
         except NaNFitness as exc:
             # the root judges before it steps the swarm: `position` is the
             # generation it judged
             raise exc.naming_the_edge(self.problem, self.swarm.position) from None
         if self._edges.envelopes:
             self._evaluate_edges()
-        self._register_sends(fired, ends)
+        self._register_sends()
         self._drain_root(round_no)
 
     def _evaluate_edges(self):

@@ -28,9 +28,8 @@ A step makes about 30 numpy calls per block, so with few agents a block
 their overhead is much of its cost. Computing in place halves a step's
 block-sized temporaries, which pays for blocks four times larger than when
 every term made its own (`BLOCK_ELEMENTS`): at K=2000 a block holds 8
-agents, and a step of 20 agents runs 3 blocks, not 10. On the benchmark's
-er20-k2000 that took the distributed solve from 1.32 to 0.99 s (medians of
-10 alternating 40-s pairs, 2 vCPUs), with 2.5% more peak memory.
+agents, and a step of 20 agents runs 3 blocks, not 10.
+`BENCH_block_kernels.json` records what that measured end to end.
 """
 
 from __future__ import annotations

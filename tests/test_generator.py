@@ -13,7 +13,7 @@ def _is_connected_tree(problem):
     if len(problem.constraints) != n - 1:
         return False
     seen = set()
-    adjacency = problem.neighbors()
+    adjacency = problem.adjacency
     stack = [problem.ids[0]]
     while stack:
         node = stack.pop()

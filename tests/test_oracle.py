@@ -67,7 +67,7 @@ def _tree_fold(problem, tree, position, K):
     """The root's fitness, folded one agent and one edge at a time, deepest
     agents first, each over its `fitness_slots` in order."""
     sums = {}
-    for a in sorted(problem.ids, key=tree.priority_key, reverse=True):
+    for a in sorted(problem.ids, key=lambda a: (tree.depth[a], a), reverse=True):
         cons = [problem.constraint_between(a, j) for j in tree.L[a]]
         parts = [evaluate_edge(c.cost, position[c.i], position[c.j]) for c in cons]
         parts += [sums[child] for child, aggregate in tree.fitness_slots[a] if aggregate]

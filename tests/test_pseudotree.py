@@ -11,7 +11,6 @@ from swarmdcop import (
     build_bfs_pseudotree,
     generate,
     parse_problem,
-    priority_less,
     serialize_problem,
 )
 from swarmdcop.runtime import Simulator
@@ -58,17 +57,6 @@ def test_path_graph_tree():
     assert tree.d == 2
 
 
-def test_priority_less(fig1):
-    tree = build_bfs_pseudotree(fig1)
-    assert priority_less(tree, "x4", "x1")          # x1 outranks everything
-    assert not priority_less(tree, "x1", "x4")
-    assert priority_less(tree, "x3", "x2")          # same depth: alphabetical
-    assert not priority_less(tree, "x2", "x3")
-    assert not priority_less(tree, "x1", "x1")      # strict order
-    with pytest.raises(KeyError):
-        priority_less(tree, "x1", "x99")
-
-
 @settings(max_examples=40)
 @given(
     seed=st.integers(0, 2**64 - 1),
@@ -89,7 +77,7 @@ def test_tree_structure_invariants(seed, n, topology):
 
     for agent in problem.ids:
         # H/L partition the neighbor set
-        nbrs = set(problem.neighbors()[agent])
+        nbrs = set(problem.adjacency[agent])
         assert set(tree.H[agent]) | set(tree.L[agent]) == nbrs
         assert set(tree.H[agent]) & set(tree.L[agent]) == set()
         if agent != tree.root:
@@ -105,8 +93,8 @@ def test_tree_structure_invariants(seed, n, topology):
         # aggregates of the children with nonempty L in BFS order
         slots = tree.fitness_slots[agent]
         aggregating = [c for c in tree.children[agent] if tree.L[c]]
-        assert list(slots) == ([(j, False) for j in sorted(tree.L[agent], key=tree.priority_key)]
-                               + [(c, True) for c in aggregating])
+        ranked = sorted(tree.L[agent], key=lambda a: (tree.depth[a], a))
+        assert list(slots) == [(j, False) for j in ranked] + [(c, True) for c in aggregating]
         assert list(slots.values()) == list(range(len(slots)))
 
 

@@ -261,6 +261,46 @@ def test_only_recipients_fire_in_ordinal_order(monkeypatch):
     assert sim.trace.to_csv() == expected
 
 
+def test_set_up_fires_the_root_alone(monkeypatch):
+    # set-up sends each agent's initial positions, in ordinal order, its
+    # Moved record first if observed; round 0 fires only the root
+    problem = generate(GenSpec("scale_free", 30, 2, m=2))
+    fired = []
+    fire = AgentMachine.fire
+
+    def spy(machine, round_no, inbox):
+        fired.append((round_no, machine.ordinal, len(inbox)))
+        return fire(machine, round_no, inbox)
+
+    monkeypatch.setattr(AgentMachine, "fire", spy)
+    events = []
+    sim = Simulator(problem, SwarmParams(K=4, seed=5), 10, on_event=events.append)
+    assert fired == [(0, sim.root.ordinal, 0)]
+    expected = []
+    for agent, machine in zip(problem.ids, sim.machines):
+        expected.append(("moved", agent, 0))
+        expected += [(Kind.VALUE, agent, 0, j) for j in machine.L]
+    assert [("moved", e.agent, e.iteration) if isinstance(e, Moved)
+            else (e.kind, e.sender, e.iteration, e.recipient) for e in events] == expected
+    assert sim.queue == [e for e in events if isinstance(e, Envelope)]
+    assert sim.cum_envelopes == len(problem.constraints)
+
+
+@pytest.mark.parametrize("problem", [
+    Problem(domains={"x1": ContinuousDomain(-1.0, 1.0)}, constraints=[]),
+    generate(GenSpec("scale_free", 30, 2, m=2)),
+], ids=["lone", "sf30"])
+def test_an_unobserved_run_builds_no_moved_record(monkeypatch, problem):
+    def refuse(*args):
+        raise AssertionError("Moved record built")
+
+    monkeypatch.setattr(runtime, "Moved", refuse)
+    params = SwarmParams(K=4, seed=5)
+    assert len(Simulator(problem, params, 10).run_to_quiescence().rows) == 10
+    with pytest.raises(AssertionError, match="Moved record built"):
+        Simulator(problem, params, 10, on_event=Recorder())
+
+
 def test_best_assignment_costs_the_final_gbest(fig1, fig1_force):
     sim = _forced_sim(fig1, fig1_force)
     sim.run_to_quiescence()
