@@ -16,7 +16,7 @@ from .model import (
 )
 from .oracle import GridSpec, centralized_gcpso, grid_search
 from .pseudotree import PseudoTree, build_bfs_pseudotree
-from .runtime import AnytimeTrace, Simulator, run
+from .runtime import AnytimeTrace, ProtocolError, Simulator, run
 from .swarm import BestInfo, SwarmParams
 
 __version__ = "0.1.0"
@@ -30,6 +30,7 @@ __all__ = [
     "GridSpec",
     "Problem",
     "ProblemFormatError",
+    "ProtocolError",
     "PseudoTree",
     "QuadraticCost",
     "Simulator",

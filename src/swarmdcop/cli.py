@@ -135,7 +135,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                     on_event=_print_event if args.verbose else None)
     trace = sim.run_to_quiescence()
     trace.write_csv(trace_path)
-    root = sim.root.root_state
+    root = sim.swarm.root
     print(f"final gbest: {trace.final_gbest:.10g}")
     print(f"iterations: {args.iters}  rounds: {sim.round}  "
           f"envelopes: {sim.cum_envelopes}  scalars: {sim.cum_scalars}")

@@ -1,13 +1,13 @@
 """Independent references for the distributed solver.
 
 `centralized_gcpso` runs the identical swarm arithmetic on full assignments
-with no message passing. It holds the runtime's `swarm.Swarm` and steps it
-once per verdict, as the runtime's root does, and evaluates each block of
-edges with one `evaluate_edge` call on operands gathered from the swarm's
-agent-major (n, K) positions. Every fitness sum is the pseudo-tree's fold
-(`PseudoTree.fitness_slots`), the one summation order the runtime uses
-too. Every operation is the per-agent one, elementwise in the same order,
-so the gbest trace equals the distributed runtime's bit for bit, over whole
+with no message passing. It holds the runtime's `swarm.Swarm` and judges
+through it (`Swarm.judge`), as the runtime's root does, and evaluates each
+block of edges with one `evaluate_edge` call on operands gathered from the
+swarm's agent-major (n, K) positions. Every fitness sum is the pseudo-tree's
+fold (`PseudoTree.fitness_slots`), the one summation order the runtime uses
+too. Every operation is the per-agent one, elementwise in the same order, so
+the gbest trace equals the distributed runtime's bit for bit, over whole
 runs. `grid_search` exhaustively enumerates a rectangular grid and is the
 ground-truth oracle for tiny instances.
 """
@@ -22,8 +22,7 @@ import numpy as np
 from .model import Problem, cost_columns, evaluate_edge, global_cost
 from .pseudotree import build_bfs_pseudotree
 from .runtime import AnytimeTrace, TraceRow
-from .swarm import (NaNFitness, RootState, Swarm, SwarmParams, block_rows, integer_field,
-                    iteration_count, root_update)
+from .swarm import Swarm, SwarmParams, block_rows, integer_field, iteration_count
 
 # refuse grids larger than this many points
 GRID_CAP = 10**7
@@ -94,7 +93,6 @@ def centralized_gcpso(problem: Problem, params: SwarmParams, iterations: int,
     aggregators, edge_blocks, child_folds = _fold_plan(problem, block_rows(K))
     swarm = Swarm(problem, params, force_init)
     sums = np.empty((aggregators, K))
-    root = RootState(np.full(K, np.inf))
 
     trace = AnytimeTrace()
     for t in range(iterations):
@@ -108,13 +106,8 @@ def centralized_gcpso(problem: Problem, params: SwarmParams, iterations: int,
                     sums[sum_rows] += costs[cost_rows]
         for parents, children in child_folds:
             sums[parents] += sums[children]
-        fitness = sums[-1] if aggregators else np.zeros(K)  # one agent: no edges
-        try:
-            best = root_update(root, fitness, params, t)
-        except NaNFitness as exc:
-            raise exc.naming_the_edge(problem, position) from None
-        swarm.step(best)
-        trace.rows.append(TraceRow(t + 1, 0, root.gbest_fitness, 0, 0))
+        best = swarm.judge(sums[-1] if aggregators else np.zeros(K), t)  # one agent: no edges
+        trace.rows.append(TraceRow(t + 1, 0, best.gbest_fitness, 0, 0))
     return trace
 
 

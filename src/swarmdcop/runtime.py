@@ -12,8 +12,8 @@ One machine per agent. Each iteration runs two phases over the pseudo-tree:
   slot order once all are in, not in arrival order, so every fitness vector
   is bit-identical under any delivery schedule and equals the centralized
   oracle's.
-* Update: the root judges the aggregated fitness vector and steps the one
-  rho controller, then the verdict, which carries rho, travels back down.
+* Update: the root judges the aggregated fitness vector (`Swarm.judge`),
+  then the verdict, which carries rho, travels back down.
   Every agent applies the same verdict with the same rule and draws its
   velocity randomness from keyed streams.
 
@@ -25,10 +25,10 @@ until its edge costs go out: an H member reaches t+1 only under verdict t,
 which needed the agent's edge costs of t. No agent costs the final
 iteration's positions, so the final UPDATE carries the verdict only, and
 the agent holds a marker for each H member whose final UPDATE has arrived.
-Any other VALUE or UPDATE raises, naming the agent, kind, sender and
-iteration, as a late, duplicate or unowed fitness contribution does; so
-does one whose positions are missing before the final iteration or present
-on it.
+Any other VALUE or UPDATE raises a `ProtocolError` naming the agent, kind,
+sender and iteration, as a late, duplicate or unowed fitness contribution
+does; so does one whose positions are missing before the final iteration
+or present on it.
 
 Delivery is synchronous: an envelope sent in round r arrives in round r+1,
 and only the agents with mail fire, in ordinal order whatever the order of
@@ -38,8 +38,8 @@ has work only as a lone agent. Runs are bit-reproducible from
 (problem, params).
 
 The swarm steps once per verdict. All agents share one `swarm.Swarm`, as
-the centralized oracle holds one, and when the root judges iteration t it
-steps the swarm under the verdict (`Swarm.step`). A step writes into no
+the centralized oracle holds one, and the root judges iteration t through
+it (`Swarm.judge`), which steps it under the verdict. A step writes into no
 array, so generation t stays intact for the envelopes, held positions and
 records that carry it. Agent o reads row o of generation t's (n, K)
 positions until it applies verdict t; then its `position` is row o of t+1,
@@ -83,8 +83,7 @@ import numpy as np
 
 from .model import Problem, QuadraticCost, cost_columns, evaluate_edge
 from .pseudotree import PseudoTree, build_bfs_pseudotree
-from .swarm import (AgentSwarmState, BestInfo, NaNFitness, RootState, Swarm, SwarmParams,
-                    block_rows, iteration_count, root_update)
+from .swarm import AgentSwarmState, BestInfo, Swarm, SwarmParams, block_rows, iteration_count
 
 
 # A run of at least this many edge costs in one round is evaluated as one
@@ -121,6 +120,18 @@ class Envelope:
     values: np.ndarray | None = None
     fitness: np.ndarray | None = None
     best: BestInfo | None = None
+
+
+class ProtocolError(RuntimeError):
+    """An envelope `agent` cannot take now: its kind, sender and iteration,
+    and `reason`, the rest of the message (None: a duplicate)."""
+
+    def __init__(self, agent: str, env: Envelope, reason: str | None):
+        self.agent, self.kind, self.sender = agent, env.kind, env.sender
+        self.iteration, self.reason = env.iteration, reason
+        kind = self.kind.value if reason is not None else f"duplicate {self.kind.value}"
+        super().__init__(f"{agent}: {kind} from {self.sender} for iteration {self.iteration}"
+                         f"{reason or ''}")
 
 
 # held for an H member in place of its final positions, which its final
@@ -171,13 +182,19 @@ class AnytimeTrace:
 
 
 def parse_trace_csv(text: str) -> AnytimeTrace:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != TRACE_HEADER:
-        raise ValueError(f"bad trace header: {lines[:1]}")
+    """The trace `to_csv` wrote; a bad row raises naming its line (from 1)."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln]
+    if not lines or lines[0][1] != TRACE_HEADER:
+        raise ValueError(f"bad trace header: {[ln for _, ln in lines[:1]]}")
     rows = []
-    for ln in lines[1:]:
-        it, rnd, gbest, env, sc = ln.split(",")
-        rows.append(TraceRow(int(it), int(rnd), float(gbest), int(env), int(sc)))
+    for no, ln in lines[1:]:
+        if len(fields := ln.split(",")) != 5:
+            raise ValueError(f"trace line {no}: expected 5 fields, got {len(fields)}")
+        it, rnd, gbest, env, sc = fields
+        try:
+            rows.append(TraceRow(int(it), int(rnd), float(gbest), int(env), int(sc)))
+        except ValueError as exc:
+            raise ValueError(f"trace line {no}: {exc}") from None
     return AnytimeTrace(rows)
 
 
@@ -236,7 +253,7 @@ class AgentMachine:
                  "parent", "slots", "constraints", "swarm", "position",
                  "outbox", "edge_batch", "observed",
                  "own_iter", "edge_done_iter", "held", "n_held",
-                 "fitness_next", "parts", "n_parts", "root_state", "completed")
+                 "fitness_next", "parts", "n_parts", "completed")
 
     def __init__(self, agent_id: str, problem: Problem, tree: PseudoTree,
                  max_iterations: int, observed: bool, swarm: Swarm, outbox: list,
@@ -276,8 +293,7 @@ class AgentMachine:
         self.fitness_next = 0           # next iteration to aggregate / judge
         self.parts: list[np.ndarray | None] = [None] * len(self.slots)
         self.n_parts = 0
-        # root-only running bests, rho controller and completed verdicts
-        self.root_state = RootState(np.full(swarm.params.K, np.inf)) if self.is_root else None
+        # root-only: the verdicts judged and not yet written to the trace
         self.completed: list[tuple[int, BestInfo, np.ndarray]] | None = (
             [] if self.is_root else None)
 
@@ -291,7 +307,7 @@ class AgentMachine:
 
     @property
     def gbest_index(self) -> int:
-        return self.root_state.gbest_index
+        return self.swarm.root.gbest_index
 
     @property
     def state(self) -> AgentSwarmState:
@@ -317,60 +333,46 @@ class AgentMachine:
         Raises on a VALUE or UPDATE the protocol cannot send this agent now
         or whose payload does not fit its iteration, on a verdict other than
         the one the swarm was stepped under, and on a fitness contribution
-        that is late, duplicate or not owed."""
+        that is late, duplicate or not owed, with a `ProtocolError`."""
         held, parts, final = self.held, self.parts, self.max_iterations
         for env in inbox:
             kind, sender, t = env.kind, env.sender, env.iteration
             if kind is _EDGE_FITNESS or kind is _AGG_FITNESS:
                 if t != self.fitness_next:
-                    raise RuntimeError(
-                        f"{self.id}: {kind.value} from {sender} for iteration {t} arrived "
-                        f"while folding iteration {self.fitness_next}")
+                    raise ProtocolError(self.id, env,
+                                        f" arrived while folding iteration {self.fitness_next}")
                 slot = self.slots.get((sender, kind is _AGG_FITNESS))
                 if slot is None:
-                    raise RuntimeError(
-                        f"{self.id}: {kind.value} from {sender} for iteration {t}, "
-                        f"which {sender} does not owe {self.id}")
+                    raise ProtocolError(self.id, env, f", which {sender} does not owe {self.id}")
                 if parts[slot] is not None:
-                    raise RuntimeError(
-                        f"{self.id}: duplicate {kind.value} from {sender} for iteration {t}")
+                    raise ProtocolError(self.id, env, None)
                 parts[slot] = env.fitness
                 self.n_parts += 1
                 continue
             best = env.best
             if sender not in held:
-                raise RuntimeError(
-                    f"{self.id}: {kind.value} from {sender} for iteration {t}, "
-                    f"but {sender} is not in {self.id}'s H")
+                raise ProtocolError(self.id, env, f", but {sender} is not in {self.id}'s H")
             if best is not None and best.iteration >= self.own_iter:
                 if best.iteration != self.edge_done_iter:
-                    raise RuntimeError(
-                        f"{self.id}: {kind.value} from {sender} for iteration {t} carries the "
-                        f"verdict of iteration {best.iteration} before {self.id}'s edge costs of it")
+                    raise ProtocolError(self.id, env, f" carries the verdict of iteration "
+                                        f"{best.iteration} before {self.id}'s edge costs of it")
                 if best is not self.swarm.verdict:
-                    raise RuntimeError(
-                        f"{self.id}: {kind.value} from {sender} for iteration {t} carries a "
-                        f"verdict of iteration {best.iteration} that the swarm was not "
-                        f"stepped under")
+                    raise ProtocolError(self.id, env, f" carries a verdict of iteration "
+                                        f"{best.iteration} that the swarm was not stepped under")
                 self._apply_update(best, round_no)
             if t != self.own_iter:
-                raise RuntimeError(
-                    f"{self.id}: {kind.value} from {sender} for iteration {t} arrived "
-                    f"at iteration {self.own_iter}")
+                raise ProtocolError(self.id, env, f" arrived at iteration {self.own_iter}")
             if t == self.edge_done_iter or held[sender] is not None:
-                raise RuntimeError(
-                    f"{self.id}: duplicate {kind.value} from {sender} for iteration {t}")
+                raise ProtocolError(self.id, env, None)
             values = env.values
             if t == final:
                 if values is not None:
-                    raise RuntimeError(
-                        f"{self.id}: {kind.value} from {sender} for iteration {t} carries "
-                        f"positions, but iteration {t} is the final one")
+                    raise ProtocolError(self.id, env,
+                                        f" carries positions, but iteration {t} is the final one")
                 values = _FINAL
             elif values is None:
-                raise RuntimeError(
-                    f"{self.id}: {kind.value} from {sender} for iteration {t} carries no "
-                    f"positions before the final iteration {final}")
+                raise ProtocolError(self.id, env,
+                                    f" carries no positions before the final iteration {final}")
             held[sender] = values
             self.n_held += 1
 
@@ -445,15 +447,10 @@ class AgentMachine:
 
     def _judge(self) -> BestInfo:
         """Judge the completed fold of iteration `fitness_next` and step the
-        whole swarm under the verdict."""
+        whole swarm under the verdict (`Swarm.judge`)."""
         t = self.fitness_next
-        params = self.swarm.params
-        if self.parts:
-            fit = self._take_sum()
-        else:
-            fit = np.zeros(params.K)  # isolated root: empty objective
-        best = root_update(self.root_state, fit, params, t)
-        self.swarm.step(best)
+        fit = self._take_sum() if self.parts else np.zeros(self.swarm.params.K)  # lone root
+        best = self.swarm.judge(fit, t)
         self.completed.append((t, best, fit))
         self.fitness_next = t + 1
         return best
@@ -557,7 +554,7 @@ class Simulator:
         """The global-best particle's assignment: each agent's personal-best
         component at the root's gbest index. Its `global_cost` is the
         latest trace row's gbest_fitness, up to summation order."""
-        g = self.root.gbest_index
+        g = self.swarm.root.gbest_index
         return {m.id: float(m.state.pbest_component[g]) for m in self.machines}
 
     @property
@@ -594,15 +591,10 @@ class Simulator:
         trace row counts the root's sends and no other agent's of that
         round."""
         machines, inboxes = self.machines, self._inboxes
-        try:
-            for o in fired:
-                inbox = inboxes[o]
-                machines[o].fire(round_no, inbox)
-                inbox.clear()
-        except NaNFitness as exc:
-            # the root judges before it steps the swarm: `position` is the
-            # generation it judged
-            raise exc.naming_the_edge(self.problem, self.swarm.position) from None
+        for o in fired:
+            inbox = inboxes[o]
+            machines[o].fire(round_no, inbox)
+            inbox.clear()
         if self._edges.envelopes:
             self._evaluate_edges()
         self._register_sends()

@@ -4,11 +4,11 @@ Each agent holds one component of every particle. The swarm of K particles
 moves under two velocity rules: the current global-best particle explores a
 radius rho around the best known point; every other particle follows the
 usual inertia + personal-best + global-best pull. rho doubles after a run of
-consecutive successes and halves after a run of consecutive failures. One
-`RootState` holds the fitness bests and this controller; each verdict carries
-rho to the agents, which keep only their particle components: position,
-velocity and personal best. The global-best component is not stored; a step
-reads it from the personal bests at the verdict's gbest index.
+consecutive successes and halves after a run of consecutive failures.
+`Swarm.judge` keeps the fitness bests and this controller in `Swarm.root`;
+each verdict carries rho to the agents, which keep only their particle
+components: position, velocity and personal best. A step reads the global-best
+component from the personal bests at the verdict's gbest index.
 
 All update functions accept scalars or numpy arrays that broadcast to the
 shape of the positions `x` and keep a fixed expression shape, so vectorized
@@ -17,12 +17,12 @@ fresh output with augmented or `out=` operations, in the written operation
 order, and writes into none of its arguments. Swarm state is agent-major:
 one row of K particle components per agent, a block of one agent included.
 `Swarm` is the one owner of the layout: the distributed runtime and the
-centralized reference both hold one and step it once per verdict (one key
-grid per draw and one `apply_best` per block of agents) on the same keyed
-random draws, which makes their particle trajectories bit-identical. Each
-generation's positions are one (n, K) array; a step makes a new one and
-writes into no old array, so the generation it stepped from stays intact
-for whoever still reads it.
+centralized reference both hold one and judge through it, which steps it
+once per verdict (one key grid per draw and one `apply_best` per block of
+agents) on the same keyed random draws, so their particle trajectories are
+bit-identical. Each generation's positions are one (n, K) array; a step
+makes a new one and writes into no old array, so the generation it stepped
+from stays intact for whoever still reads it.
 
 A step makes about 30 numpy calls per block, so with few agents a block
 their overhead is much of its cost. Computing in place halves a step's
@@ -167,7 +167,8 @@ class Swarm:
     `position`, whose rows o are agent o's and whose block rows are views of
     it. `step` writes the next generation into a fresh array and writes into
     no old one, so a generation stays intact for whoever still reads it.
-    `verdict` is the verdict of the last step (None: the initial swarm).
+    `verdict` is the verdict of the last step (None: the initial swarm);
+    `root` holds the running bests and rho controller `judge` updates.
     """
 
     def __init__(self, problem: Problem, params: SwarmParams, force_init: dict | None = None):
@@ -177,7 +178,7 @@ class Swarm:
             raise MemoryError(f"a swarm of n={n} agents by K={K} particles needs {need} bytes, "
                               f"more than this machine's physical memory")
         forced = check_force_init(force_init, problem.domains, K)
-        self.params, self.verdict = params, None
+        self.problem, self.params, self.verdict = problem, params, None
         self.position = np.empty((n, K))
         self._rows = rows = block_rows(K)
         self._blocks = []  # (rows of `position`, their ordinals, domain_bounds, state)
@@ -190,6 +191,7 @@ class Swarm:
             self.position[span] = state.position
             state.position = self.position[span]
             self._blocks.append((span, ordinals, bounds, state))
+        self.root = RootState(np.full(K, np.inf))
 
     def row(self, o: int) -> AgentSwarmState:
         """Agent o's components of the K particles: views of its rows."""
@@ -208,6 +210,17 @@ class Swarm:
             position[span] = state.position
             state.position = position[span]
         self.position, self.verdict = position, best
+
+    def judge(self, fitness: np.ndarray, t: int) -> BestInfo:
+        """Judge iteration t's fitness against `root` and step under the
+        verdict; a NaN fitness raises naming its edge at `position`, the
+        generation judged, and leaves the swarm and `root` as they were."""
+        try:
+            best = root_update(self.root, fitness, self.params, t)
+        except NaNFitness as exc:
+            raise exc.naming_the_edge(self.problem, self.position) from None
+        self.step(best)
+        return best
 
 
 def fresh_state(K: int, domain: ContinuousDomain, seed: int, ordinal: int | np.ndarray,
@@ -302,7 +315,7 @@ def rho_update(rho: float, s_c: int, f_c: int, max_sc: int, max_fc: int, t: int)
 
 class NaNFitness(ValueError):
     """A particle's fitness is NaN; `root_update` raises it naming the
-    iteration and the particle, and each solver goes on to name the edge
+    iteration and the particle, and `Swarm.judge` goes on to name the edge
     (`naming_the_edge`)."""
 
     def __init__(self, iteration: int, particle: int):

@@ -38,8 +38,8 @@ def test_c1_golden_worked_example(fig1, fig1_force):
     fitness = rec.fitness()[0]
     assert fitness[0] == pytest.approx(FIG1_FITNESS_P1, abs=1e-9)
     assert fitness[1] == pytest.approx(FIG1_FITNESS_P2, abs=1e-9)
-    assert sim.root.root_state.pbest_fitness[0] == pytest.approx(94.25, abs=1e-9)
-    assert sim.root.root_state.pbest_fitness[1] == pytest.approx(32.99, abs=1e-9)
+    assert sim.swarm.root.pbest_fitness[0] == pytest.approx(94.25, abs=1e-9)
+    assert sim.swarm.root.pbest_fitness[1] == pytest.approx(32.99, abs=1e-9)
     assert sim.root.gbest_index == 1  # particle 2, zero-based
     assert trace.final_gbest == pytest.approx(32.99, abs=1e-9)
     elapsed = time.perf_counter() - start

@@ -13,6 +13,7 @@ from swarmdcop import (
     ContinuousDomain,
     GenSpec,
     Problem,
+    ProtocolError,
     QuadraticCost,
     SwarmParams,
     build_bfs_pseudotree,
@@ -45,7 +46,7 @@ def test_worked_example_first_iteration(fig1, fig1_force):
     assert fitness[1] == pytest.approx(FIG1_FITNESS_P2, abs=1e-9)
     assert sim.root.gbest_index == 1
     assert trace.rows[0].gbest_fitness == pytest.approx(FIG1_FITNESS_P2, abs=1e-9)
-    assert sim.root.root_state.pbest_fitness.tolist() == pytest.approx([94.25, 32.99], abs=1e-9)
+    assert sim.swarm.root.pbest_fitness.tolist() == pytest.approx([94.25, 32.99], abs=1e-9)
 
 
 def test_worked_example_edge_messages(fig1, fig1_force):
@@ -145,6 +146,17 @@ def test_trace_csv_roundtrip():
 def test_trace_csv_with_a_bad_header_is_rejected(text, shown):
     with pytest.raises(ValueError, match=f"^bad trace header: {re.escape(shown)}$"):
         parse_trace_csv(text)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1,3,0.5", "trace line 2: expected 5 fields, got 3"),
+    ("1,3,0.5,7,8,9", "trace line 2: expected 5 fields, got 6"),
+    ("1,3,0.5,7,8\n2,x,0.25,9,10", "trace line 3: invalid literal for int() with base 10: 'x'"),
+    ("1,3,x,7,8", "trace line 2: could not convert string to float: 'x'"),
+], ids=["too-few", "too-many", "int", "float"])
+def test_trace_csv_with_a_bad_row_names_its_line(rows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_trace_csv(f"{runtime.TRACE_HEADER}\n{rows}\n")
 
 
 def test_anytime_gbest_never_increases():
@@ -334,6 +346,20 @@ def test_deadlock_detection_names_the_fitness_wait(fig1, fig1_force, lost, folde
                      str(info.value))
 
 
+def test_deadlock_detection_names_the_verdict_wait(fig1, fig1_force):
+    sim = _forced_sim(fig1, fig1_force, iterations=3)
+    while sim.queue:
+        sim.queue = [e for e in sim.queue if (e.kind, e.recipient) != (Kind.UPDATE, "x2")]
+        sim.step()
+    text = ("deadlock: no envelopes in flight but agents are blocked:\n"
+            "  x1@iter 1 awaiting fitness(1): 0/4 folded\n"
+            "  x2@iter 0 awaiting verdict(0)\n"
+            "  x3@iter 1 awaiting fitness(2): 0/1 folded\n"
+            "  x4@iter 1 awaiting verdict(1)")
+    with pytest.raises(RuntimeError, match=f"^{re.escape(text)}$"):
+        sim.run_to_quiescence()
+
+
 def _run_shuffled(sim, seed):
     """Drive `sim` to quiescence, delivering each round's envelopes in a
     shuffled order and holding about a quarter of them back 1-3 extra
@@ -443,13 +469,22 @@ def _fitness_envelope(sim, recipient):
                 return env
 
 
+def _assert_protocol_error(run, text, agent, kind, sender, iteration):
+    """`run()` raises a ProtocolError whose message is exactly `text`, with
+    these fields."""
+    with pytest.raises(ProtocolError, match=f"^{re.escape(text)}$") as info:
+        run()
+    error = info.value
+    assert (error.agent, error.kind, error.sender, error.iteration) == (
+        agent, kind, sender, iteration)
+
+
 def test_duplicate_fitness_envelope_raises(fig1, fig1_force):
     sim = _forced_sim(fig1, fig1_force, iterations=3)
     env = _fitness_envelope(sim, "x1")
     sim.queue.append(replace(env))
-    match = f"x1: duplicate EDGE_FITNESS from {env.sender} for iteration 0"
-    with pytest.raises(RuntimeError, match=match):
-        sim.run_to_quiescence()
+    text = f"x1: duplicate EDGE_FITNESS from {env.sender} for iteration 0"
+    _assert_protocol_error(sim.run_to_quiescence, text, "x1", Kind.EDGE_FITNESS, env.sender, 0)
 
 
 def test_late_fitness_envelope_raises(fig1, fig1_force):
@@ -458,33 +493,30 @@ def test_late_fitness_envelope_raises(fig1, fig1_force):
     sim.step()
     assert sim.machines[2].fitness_next == 1
     sim.queue.append(replace(env))
-    match = "x3: EDGE_FITNESS from x4 for iteration 0 arrived while folding iteration 1"
-    with pytest.raises(RuntimeError, match=match):
-        sim.run_to_quiescence()
+    text = "x3: EDGE_FITNESS from x4 for iteration 0 arrived while folding iteration 1"
+    _assert_protocol_error(sim.run_to_quiescence, text, "x3", Kind.EDGE_FITNESS, "x4", 0)
 
 
 def test_positions_from_outside_h_raise(fig1, fig1_force):
     sim = _forced_sim(fig1, fig1_force, iterations=3)
     # x4 is in x3's L: it sends x3 edge costs, never positions
     sim.queue.append(Envelope(Kind.VALUE, 0, "x4", "x3", values=np.zeros(2)))
-    match = r"x3: VALUE from x4 for iteration 0, but x4 is not in x3's H"
-    with pytest.raises(RuntimeError, match=match):
-        sim.run_to_quiescence()
+    text = "x3: VALUE from x4 for iteration 0, but x4 is not in x3's H"
+    _assert_protocol_error(sim.run_to_quiescence, text, "x3", Kind.VALUE, "x4", 0)
 
 
-@pytest.mark.parametrize("delay, match", [
+@pytest.mark.parametrize("delay, text", [
     (0, "x3: duplicate VALUE from x1 for iteration 0"),  # while held
     (2, "x3: duplicate VALUE from x1 for iteration 0"),  # after x3 sent its edge costs
     (3, "x3: VALUE from x1 for iteration 0 arrived at iteration 1"),  # after verdict 0
 ])
-def test_duplicate_positions_raise(fig1, fig1_force, delay, match):
+def test_duplicate_positions_raise(fig1, fig1_force, delay, text):
     sim = _forced_sim(fig1, fig1_force, iterations=3)
     value = next(env for env in sim.queue if (env.sender, env.recipient) == ("x1", "x3"))
     for _ in range(delay):
         sim.step()
     sim.queue.append(replace(value))  # delivered `delay` rounds after the original
-    with pytest.raises(RuntimeError, match=match):
-        sim.run_to_quiescence()
+    _assert_protocol_error(sim.run_to_quiescence, text, "x3", Kind.VALUE, "x1", 0)
 
 
 @pytest.mark.parametrize("delay", [0, 2])
@@ -496,34 +528,32 @@ def test_duplicate_final_update_raises(fig1, fig1_force, delay):
     for _ in range(delay):
         sim.step()
     sim.queue.append(replace(final))  # delivered `delay` rounds after the original
-    with pytest.raises(RuntimeError, match="x3: duplicate UPDATE from x1 for iteration 3"):
-        sim.run_to_quiescence()
+    text = "x3: duplicate UPDATE from x1 for iteration 3"
+    _assert_protocol_error(sim.run_to_quiescence, text, "x3", Kind.UPDATE, "x1", 3)
 
 
-@pytest.mark.parametrize("iteration, values, match", [
+@pytest.mark.parametrize("iteration, values, text", [
     (2, None, "x3: UPDATE from x1 for iteration 2 carries no positions before the final "
               "iteration 3"),
     (3, np.zeros(2), "x3: UPDATE from x1 for iteration 3 carries positions, but iteration 3 "
                      "is the final one"),
 ], ids=["positions-missing", "final-with-positions"])
 def test_an_update_whose_payload_does_not_fit_its_iteration_raises(fig1, fig1_force, iteration,
-                                                                   values, match):
+                                                                   values, text):
     sim = _forced_sim(fig1, fig1_force, iterations=3)
     while (update := next((env for env in sim.queue if env.kind is Kind.UPDATE
                            and env.iteration == iteration and env.recipient == "x3"),
                           None)) is None:
         sim.step()
     update.values = values  # the original, in flight: no duplicate
-    with pytest.raises(RuntimeError, match=f"^{match}$"):
-        sim.run_to_quiescence()
+    _assert_protocol_error(sim.run_to_quiescence, text, "x3", Kind.UPDATE, "x1", iteration)
 
 
 def test_a_value_without_positions_raises(fig1, fig1_force):
     sim = _forced_sim(fig1, fig1_force, iterations=3)
     next(env for env in sim.queue if env.recipient == "x3").values = None
-    with pytest.raises(RuntimeError, match="^x3: VALUE from x1 for iteration 0 carries no "
-                                           "positions before the final iteration 3$"):
-        sim.run_to_quiescence()
+    text = "x3: VALUE from x1 for iteration 0 carries no positions before the final iteration 3"
+    _assert_protocol_error(sim.run_to_quiescence, text, "x3", Kind.VALUE, "x1", 0)
 
 
 def test_update_with_a_verdict_ahead_raises(fig1, fig1_force):
@@ -533,10 +563,9 @@ def test_update_with_a_verdict_ahead_raises(fig1, fig1_force):
     update = next(env for env in sim.queue if env.recipient == "x3")  # verdict 0, positions 1
     # x3 applies verdict 0 first, but has not yet sent its edge costs of iteration 1
     sim.queue.append(replace(update, iteration=2, best=replace(update.best, iteration=1)))
-    match = ("x3: UPDATE from x1 for iteration 2 carries the verdict of iteration 1 "
-             "before x3's edge costs of it")
-    with pytest.raises(RuntimeError, match=match):
-        sim.run_to_quiescence()
+    text = ("x3: UPDATE from x1 for iteration 2 carries the verdict of iteration 1 "
+            "before x3's edge costs of it")
+    _assert_protocol_error(sim.run_to_quiescence, text, "x3", Kind.UPDATE, "x1", 2)
 
 
 def test_unowed_fitness_envelope_raises(fig1, fig1_force):
@@ -544,9 +573,8 @@ def test_unowed_fitness_envelope_raises(fig1, fig1_force):
     env = _fitness_envelope(sim, "x1")
     # x2 owes x1 an edge cost, but no aggregate: its L is empty
     sim.queue.append(replace(env, kind=Kind.AGG_FITNESS, sender="x2"))
-    match = "x1: AGG_FITNESS from x2 for iteration 0, which x2 does not owe x1"
-    with pytest.raises(RuntimeError, match=match):
-        sim.run_to_quiescence()
+    text = "x1: AGG_FITNESS from x2 for iteration 0, which x2 does not owe x1"
+    _assert_protocol_error(sim.run_to_quiescence, text, "x1", Kind.AGG_FITNESS, "x2", 0)
 
 
 class _Snapshots:
@@ -732,10 +760,9 @@ def test_a_verdict_the_swarm_was_not_stepped_under_raises(fig1, fig1_force):
         sim.step()
     env = next(env for env in sim.queue if env.kind is Kind.UPDATE)
     env.best = replace(env.best)
-    with pytest.raises(RuntimeError, match=(
-            rf"^{env.recipient}: UPDATE from {env.sender} for iteration 1 carries a verdict "
-            r"of iteration 0 that the swarm was not stepped under$")):
-        sim.step()
+    text = (f"{env.recipient}: UPDATE from {env.sender} for iteration 1 carries a verdict "
+            "of iteration 0 that the swarm was not stepped under")
+    _assert_protocol_error(sim.step, text, env.recipient, Kind.UPDATE, env.sender, 1)
 
 
 def test_a_nan_fitness_raises_in_both_solvers():
@@ -895,6 +922,6 @@ def test_rho_reacts_over_a_long_run():
     sim = Simulator(problem, SwarmParams(K=8, seed=3, max_sc=2, max_fc=2), 60, on_event=rec)
     sim.run_to_quiescence()
     rho = rec.judged[-1].best.rho
-    assert rho == sim.root.root_state.rho
+    assert rho == sim.swarm.root.rho
     assert rho != 1.0
     assert math.frexp(rho)[0] == 0.5

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,25 @@ def test_a_nan_sum_of_finite_edge_costs_names_no_edge():
     assert type(error) is ValueError
     assert str(error) == ("iteration 2: the fitness of particle 1 is NaN: no edge costs NaN, "
                           "and no two cost inf and -inf: the sum overflows")
+
+
+def test_judging_a_nan_leaves_the_swarm_unstepped():
+    # the edge is named at the generation judged, and nothing moves on
+    problem = Problem(domains={a: ContinuousDomain(-1.0, 1.0) for a in ("x1", "x2")},
+                      constraints=[Constraint("x1", "x2", QuadraticCost(1.0, 0.0, 0.0))])
+    sw = Swarm(problem, SwarmParams(K=3, seed=1))
+    first = sw.judge(np.array([3.0, 1.0, 2.0]), 0)
+    verdict, position, root = sw.verdict, sw.position, sw.root
+    assert verdict is first
+    judged, before = position.copy(), dict(vars(root))
+    text = ("iteration 1: the fitness of particle 2 is NaN: no edge costs NaN, and no two "
+            "cost inf and -inf: the sum overflows")
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        sw.judge(np.array([0.0, 4.0, math.nan]), 1)
+    assert sw.verdict is verdict and sw.position is position
+    assert np.array_equal(position, judged)
+    assert sw.root is root and all(value is before[name] for name, value in vars(root).items())
+    assert root.pbest_fitness.tolist() == [3.0, 1.0, 2.0]
 
 
 def test_root_update_single_particle():
