@@ -17,18 +17,25 @@ One machine per agent. Each iteration runs two phases over the pseudo-tree:
   Every agent applies the same verdict with the same rule and draws its
   velocity randomness from keyed streams.
 
-An agent keeps only live state. It applies a verdict when the first UPDATE
-carrying it arrives: verdict t is judged only after the agent's edge costs
-of t, so an UPDATE carries the agent's next verdict or one it has applied.
-It holds the positions of the iteration it is at, one vector per H member,
-until its edge costs go out: an H member reaches t+1 only under verdict t,
-which needed the agent's edge costs of t. No agent costs the final
-iteration's positions, so the final UPDATE carries the verdict only, and
-the agent holds a marker for each H member whose final UPDATE has arrived.
-Any other VALUE or UPDATE raises a `ProtocolError` naming the agent, kind,
-sender and iteration, as a late, duplicate or unowed fitness contribution
-does; so does one whose positions are missing before the final iteration
-or present on it.
+An agent keeps only live state. The verdict goes down the tree edges only:
+an agent's UPDATEs to its tree children carry it, those to its other L
+members positions alone. So an agent applies each verdict once, from its
+parent's UPDATE, which under synchronous delivery reaches an agent at depth
+d exactly d rounds after the root judged it. Verdict t is judged only after
+the agent's edge costs of t, so that UPDATE carries the agent's next
+verdict. The agent holds the positions of the iteration it is at, one
+vector per H member, until its edge costs go out: an H member reaches t+1
+only under verdict t, which needed the agent's edge costs of t. Once they
+are out, another H member's UPDATE of t+1 may come before the parent's; it
+is held early, and the edge costs of t+1 go out only after the parent's
+verdict. No agent costs the final iteration's positions, so the final
+UPDATE carries the verdict, to a child, or nothing, and the agent holds a
+marker for each H member whose final UPDATE has arrived. Any other VALUE
+or UPDATE raises a `ProtocolError` naming the agent, kind, sender and
+iteration, as a late, duplicate or unowed fitness contribution does; so
+does an UPDATE whose positions are missing before the final iteration or
+present on it, one from the parent without a verdict and one from another
+member with one.
 
 Delivery is synchronous: an envelope sent in round r arrives in round r+1,
 and only the agents with mail fire, in ordinal order whatever the order of
@@ -111,7 +118,8 @@ _VALUE, _EDGE_FITNESS, _AGG_FITNESS, _UPDATE = Kind
 class Envelope:
     """One message. `iteration` tags the positions (VALUE/UPDATE) or the
     fitness vector (EDGE_FITNESS/AGG_FITNESS) it carries; an UPDATE for
-    iteration t+1 piggybacks the verdict of iteration t in `best`."""
+    iteration t+1 to a tree child piggybacks the verdict of iteration t in
+    `best`, one to any other L member carries none."""
 
     kind: Kind
     iteration: int
@@ -133,6 +141,11 @@ class ProtocolError(RuntimeError):
         super().__init__(f"{agent}: {kind} from {self.sender} for iteration {self.iteration}"
                          f"{reason or ''}")
 
+    def __reduce__(self):
+        # pickled and copied as the constructor's arguments, not the message
+        env = Envelope(self.kind, self.iteration, self.sender, self.agent)
+        return type(self), (self.agent, env, self.reason)
+
 
 # held for an H member in place of its final positions, which its final
 # UPDATE does not carry: no agent costs them, but a duplicate must raise
@@ -141,9 +154,9 @@ _FINAL = object()
 
 def envelope_scalars(env: Envelope, K: int) -> int:
     """Payload size in scalars: K per vector; UPDATE = positions, if any, +
-    verdict (K improved flags, gbest index/value/changed, rho)."""
+    verdict, if any (K improved flags, gbest index/value/changed, rho)."""
     if env.kind is _UPDATE:
-        return K + 4 if env.values is None else 2 * K + 4
+        return (0 if env.values is None else K) + (0 if env.best is None else K + 4)
     return K
 
 
@@ -250,8 +263,8 @@ class AgentMachine:
     # slots: there is one instance per agent, and on CPython 3.11 an instance
     # with more than 26 attributes carries a 1.6 KB attribute dict, not 0.3 KB
     __slots__ = ("id", "ordinal", "max_iterations", "is_root", "H", "L",
-                 "parent", "slots", "constraints", "swarm", "position",
-                 "outbox", "edge_batch", "observed",
+                 "parent", "children", "others", "slots", "constraints", "swarm",
+                 "position", "outbox", "edge_batch", "observed",
                  "own_iter", "edge_done_iter", "held", "n_held",
                  "fitness_next", "parts", "n_parts", "completed")
 
@@ -265,6 +278,13 @@ class AgentMachine:
         self.H = tree.H[agent_id]
         self.L = tree.L[agent_id]
         self.parent = tree.parent.get(agent_id)
+        # L split: the tree children, whose UPDATEs carry the verdict, and the
+        # rest, whose UPDATEs carry positions only; an agent without children
+        # shares L. Split by parent: `j not in children` is quadratic in a
+        # hub's degree.
+        self.children = children = tree.children[agent_id]
+        self.others = ([j for j in self.L if tree.parent[j] != agent_id] if children
+                       else self.L)
         self.slots = tree.fitness_slots[agent_id]
         # the constraint of each edge this agent costs, in H order
         adjacency = problem.adjacency[agent_id]
@@ -325,13 +345,16 @@ class AgentMachine:
         """Absorb `inbox` and run the protocol as far as it goes, appending
         its records to the outbox; the simulator fills in the edge costs
         this round.
-        A VALUE or UPDATE applies its verdict on arrival, if not applied yet,
-        and its positions are held until this agent's edge costs go out; a
-        final UPDATE, which carries none, leaves a marker for good.
+        The parent's UPDATE applies its verdict on arrival. The positions of
+        a VALUE or UPDATE are held until this agent's edge costs on them go
+        out, those of the next iteration early while the parent's verdict is
+        still to come; a final UPDATE, which carries none, leaves a marker
+        for good.
         A fitness contribution is held in its fold slot until the fold is
         complete (see `_take_sum`).
         Raises on a VALUE or UPDATE the protocol cannot send this agent now
-        or whose payload does not fit its iteration, on a verdict other than
+        or whose payload does not fit its iteration or its sender (the
+        verdict comes from the parent alone), on a verdict other than
         the one the swarm was stepped under, and on a fitness contribution
         that is late, duplicate or not owed, with a `ProtocolError`."""
         held, parts, final = self.held, self.parts, self.max_iterations
@@ -352,6 +375,10 @@ class AgentMachine:
             best = env.best
             if sender not in held:
                 raise ProtocolError(self.id, env, f", but {sender} is not in {self.id}'s H")
+            if kind is _UPDATE and (best is None) == (sender == self.parent):
+                raise ProtocolError(self.id, env, (
+                    f" carries no verdict, but {sender} is {self.id}'s parent" if best is None
+                    else f" carries a verdict, but {sender} is not {self.id}'s parent"))
             if best is not None and best.iteration >= self.own_iter:
                 if best.iteration != self.edge_done_iter:
                     raise ProtocolError(self.id, env, f" carries the verdict of iteration "
@@ -360,7 +387,10 @@ class AgentMachine:
                     raise ProtocolError(self.id, env, f" carries a verdict of iteration "
                                         f"{best.iteration} that the swarm was not stepped under")
                 self._apply_update(best, round_no)
-            if t != self.own_iter:
+            # an UPDATE of the next iteration from another H member may come
+            # before the parent's once this agent's edge costs are out: it is
+            # held early, and costed after the parent's verdict
+            if t != self.own_iter and not (t - 1 == self.edge_done_iter == self.own_iter):
                 raise ProtocolError(self.id, env, f" arrived at iteration {self.own_iter}")
             if t == self.edge_done_iter or held[sender] is not None:
                 raise ProtocolError(self.id, env, None)
@@ -376,7 +406,7 @@ class AgentMachine:
             held[sender] = values
             self.n_held += 1
 
-        if self.n_held == len(held) and held and self.own_iter < self.max_iterations:
+        if self.n_held == len(held) and held and self.edge_done_iter < self.own_iter < final:
             self._send_edge_costs()
         if self.is_root:
             # one verdict per completed fold; a lone root's folds are empty,
@@ -406,19 +436,22 @@ class AgentMachine:
 
     def _apply_update(self, best: BestInfo, round_no: int):
         """Move on to the positions the swarm's step under `best` made and
-        send them down; the final verdict goes down without them."""
+        send them down: with the verdict to the tree children first, then
+        alone to the other L members. The final UPDATEs go without them."""
         self.own_iter = t = best.iteration + 1
         self.position = position = self.swarm.position[self.ordinal]
         if self.observed:
             self.outbox.append(Moved(round_no, self.id, t, position))
-        # the final verdict still floods down so every agent consumes it, but
-        # no agent costs the final positions; the `done` guard on the
+        # the final verdict still goes down the tree so every agent consumes
+        # it, but no agent costs the final positions; the `done` guard on the
         # evaluation phase stops the cascade afterwards
         if t == self.max_iterations:
             position = None
         outbox, sender = self.outbox, self.id
-        for j in self.L:
+        for j in self.children:
             outbox.append(Envelope(_UPDATE, t, sender, j, position, None, best))
+        for j in self.others:
+            outbox.append(Envelope(_UPDATE, t, sender, j, position))
 
     def _send_edge_costs(self):
         """Send this iteration's edge costs on the held positions of H, and
@@ -525,15 +558,15 @@ class Simulator:
             for record in records:
                 on_event(record)
             sent = [record for record in records if record.__class__ is Envelope]
-        # as `envelope_scalars` counts them: K each, and K + 4 more per UPDATE
-        # with positions, 4 more per final one. Every UPDATE sent once the
-        # root has applied the final verdict is a final one, and none before
-        # it is: the root judges the final iteration only after every UPDATE
-        # with its positions has been delivered.
+        # as `envelope_scalars` counts them: K + 4 per verdict, and K per
+        # envelope unless it is a final UPDATE. Every envelope sent once the
+        # root has applied the final verdict is a final UPDATE, and none
+        # before it is: the root judges the final iteration only after every
+        # envelope of it has been delivered.
         K = self.params.K
-        updates = [env.kind for env in sent].count(_UPDATE)
+        verdicts = len(sent) - [env.best for env in sent].count(None)
         self.cum_envelopes += len(sent)
-        self.cum_scalars += K * len(sent) + (4 if self.root.done else K + 4) * updates
+        self.cum_scalars += (0 if self.root.done else K * len(sent)) + (K + 4) * verdicts
         self.queue += sent
         records.clear()
 

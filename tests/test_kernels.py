@@ -22,15 +22,15 @@ def _mixed_domains(problem):
 
 # sha256 of both solvers' trace CSVs and the distributed swarm's final
 # positions, velocities and personal bests, recorded before the kernels
-# computed in place and re-recorded when the final UPDATE stopped carrying
-# positions, which lowered the last trace row's scalars (the earlier values
-# were reproduced with those scalars put back); any reordered or fused
-# operation changes them
+# computed in place and re-recorded when the verdict went down the tree edges
+# only, which lowered every trace row's scalars (the earlier values were
+# reproduced with those scalars put back); any reordered or fused operation
+# changes them
 FINGERPRINTS = {
-    "er20-k2000": "a8de5639dd91318d4e2be345b686fe93a46a6a5ad9b9d1cc8bc7ba57c0b7df69",
-    "sf200-k50": "89dec47835ae09c9160a0f5a2cd673acc9de1e59e14dbee0b600a0b145b29138",
-    "fig1-force-init": "1850c6b42a196cd670338e896284f53e991e3e85ce6458bf6835ade629da2b99",
-    "mixed-clamped": "b1511be61c0d789dd03900150b08382d57e40096fb7eec5ba8f2c1ccc3f52806",
+    "er20-k2000": "f9945bb6ee3e2bd54daea38a211301319ba446ceb48b0f59783efcc0fb88e008",
+    "sf200-k50": "5b81bf9c6749ae6f23149c7347f319bcc11f2183b79b2a89b9f321c3ebd23901",
+    "fig1-force-init": "617b40ff4abf0b206894df25c2925ccc88846c2dc20eb1d5b84c22963b345fd6",
+    "mixed-clamped": "f533524d2da2980eda19012c07d4db18692d1fb8f60ed49a67394776122a4deb",
 }
 
 

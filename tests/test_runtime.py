@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 import re
 import struct
 from collections import Counter
@@ -200,7 +202,7 @@ def test_message_counts_match_formula():
             assert sent[(t, Kind.UPDATE)] == l
             assert sent[(t, Kind.EDGE_FITNESS)] == h
             assert sent[(t, Kind.AGG_FITNESS)] == agg
-        # the final verdict floods down but triggers no further evaluation
+        # the final UPDATEs go down but trigger no further evaluation
         assert sent[(iterations, Kind.UPDATE)] == l
         assert sent[(iterations, Kind.EDGE_FITNESS)] == 0
 
@@ -218,10 +220,31 @@ def test_best_info_propagation_bound():
         assert m.round <= emitted[m.iteration - 1] + tree.depth[m.agent]
 
 
+@pytest.mark.parametrize("spec", [
+    GenSpec("erdos_renyi", 16, 4, p=0.3),
+    GenSpec("erdos_renyi", 24, 9, p=0.15),
+    GenSpec("scale_free", 30, 5, m=2),
+    GenSpec("scale_free", 40, 8, m=3),
+    GenSpec("random_tree", 15, 6),
+], ids=["er16", "er24", "sf30", "sf40", "tree"])
+def test_verdict_t_moves_each_agent_depth_rounds_after_the_root_judged_it(spec):
+    # synchronous delivery: the verdict goes down one tree level per round, so
+    # an agent at depth d moves exactly d rounds after the root judged it
+    problem = generate(spec)
+    tree = build_bfs_pseudotree(problem)
+    rec = Recorder()
+    Simulator(problem, SwarmParams(K=4, seed=3), 12, on_event=rec).run_to_quiescence()
+    judged = {j.best.iteration: j.round for j in rec.judged}
+    moves = [m for m in rec.moved if m.iteration > 0]  # by verdict iteration - 1
+    assert len(moves) == 12 * problem.n_agents
+    assert [m.round for m in moves] == [judged[m.iteration - 1] + tree.depth[m.agent]
+                                        for m in moves]
+
+
 def test_quiescence_leaves_no_pending_state():
     # every agent ends holding a marker for each H member's final UPDATE,
-    # which carries no positions; the ER graph has cross edges, whose final
-    # verdict comes by UPDATE too
+    # which carries no positions; the ER graph has edges off the tree, whose
+    # final UPDATE carries no payload at all
     for spec in (GenSpec(topology="random_tree", n=6, seed=18),
                  GenSpec(topology="erdos_renyi", n=20, seed=0, p=0.2)):
         sim = Simulator(generate(spec), SwarmParams(K=4, seed=7), 8)
@@ -413,16 +436,18 @@ class _StreamDigest:
             update(f"R {event.round} {event.delivered} {event.fired} {event.sent}".encode())
 
 
-# sha256 of the whole event stream and the trace CSV, recorded when the final
-# UPDATE stopped carrying positions (the earlier values were reproduced from
-# that change's stream with the final positions and the last row's scalars
-# put back); any change to the envelopes, their order or their payloads
-# changes them
+# sha256 of the whole event stream and the trace CSV, recorded when the
+# verdict went down the tree edges only (the synchronous streams' earlier
+# values were reproduced from that change's streams with the verdict put back
+# on each UPDATE off the tree, each agent's UPDATEs in L order and the rows'
+# scalars put back; the shuffled schedules deliver a reordered queue, so
+# theirs differ in rounds too); any change to the envelopes, their order or
+# their payloads changes them
 STREAM_DIGESTS = {
-    ("sf200-k8", "synchronous"): "44d9ddd9bb15dce031038b3f13d4fde34d49fcc40a7016cbd496e2e060fb2158",
-    ("sf200-k8", "shuffled"): "1175bf422f25c642a42e8d8e733d8298ea29999175daca857391d2ed08752749",
-    ("er20-k16", "synchronous"): "f737b07ce905232965c71bf5433a185af0b875d6fe45625451368d94e1ae00a5",
-    ("er20-k16", "shuffled"): "1bc50c313a3174550b920ba1280fac1938d8fed1ce5458539a257a8734d30051",
+    ("sf200-k8", "synchronous"): "b302c7c010cb1690244d96d23a33ebe2eb3e9795ece794625558d371bc58478a",
+    ("sf200-k8", "shuffled"): "8f8d63afed13dad628100fee87d53dda0a2e5bbd28cfb7c56869a95e3adf8d23",
+    ("er20-k16", "synchronous"): "b2ad097c05c1769b0ad61374676604df6c0a584c13777429a57850bda004111b",
+    ("er20-k16", "shuffled"): "0fe6ae01dc81d8aa903e629b0de2e519d4b325a6562d8a87f42c1e0afd85aa32",
 }
 
 
@@ -568,6 +593,93 @@ def test_update_with_a_verdict_ahead_raises(fig1, fig1_force):
     _assert_protocol_error(sim.run_to_quiescence, text, "x3", Kind.UPDATE, "x1", 2)
 
 
+def _x4_verdict_withheld(sim):
+    """Step `sim` until x1's UPDATE of iteration 1 to x4 is queued, take it out
+    of the queue, then step once more: x3's UPDATE to x4 is queued."""
+    while (verdict := next((env for env in sim.queue if env.kind is Kind.UPDATE
+                            and (env.sender, env.recipient) == ("x1", "x4")), None)) is None:
+        sim.step()
+    sim.queue.remove(verdict)
+    sim.step()
+    return verdict, next(env for env in sim.queue if (env.sender, env.recipient) == ("x3", "x4"))
+
+
+@pytest.mark.parametrize("delay", [1, 2])
+def test_an_update_that_comes_before_the_parents_verdict_is_held(fig1, fig1_force, delay):
+    # x3 -> x4 is fig1's one UPDATE off the tree: x3's positions, no verdict,
+    # which x4 takes from its parent x1 alone. Delayed by `delay` rounds, x1's
+    # UPDATE comes after x3's: in the same inbox, or a round later.
+    expected_rec, rec = Recorder(), Recorder()
+    expected = _forced_sim(fig1, fig1_force, iterations=3, on_event=expected_rec)
+    expected.run_to_quiescence()
+    sim = _forced_sim(fig1, fig1_force, iterations=3, on_event=rec)
+    x4 = sim.machines[3]
+    verdict, early = _x4_verdict_withheld(sim)
+    assert early.best is None and early.iteration == 1
+    if delay == 2:
+        sim.step()
+        # x4 holds x3's positions of iteration 1 at iteration 0, its edge
+        # costs of 0 out and none of 1
+        assert (x4.own_iter, x4.edge_done_iter, x4.n_held) == (0, 0, 1)
+        assert x4.held["x1"] is None and x4.held["x3"] is early.values
+        assert not any(e.sender == "x4" and e.iteration == 1 for e in rec.sent)
+    sim.queue.append(verdict)  # after x3's
+    trace = sim.run_to_quiescence()
+    costs = [e for e in rec.sent if (e.kind, e.sender, e.iteration) == (Kind.EDGE_FITNESS, "x4", 1)]
+    assert [e.recipient for e in costs] == ["x1", "x3"]
+    if delay == 1:
+        assert trace.to_csv() == expected.trace.to_csv()
+    assert trace.gbest_series() == expected.trace.gbest_series()
+    assert [j.fitness.tobytes() for j in rec.judged] == [
+        j.fitness.tobytes() for j in expected_rec.judged]
+    assert sim.best_assignment() == expected.best_assignment()
+
+
+def test_an_update_from_the_parent_without_its_verdict_raises(fig1, fig1_force):
+    sim = _forced_sim(fig1, fig1_force, iterations=3)
+    while (update := next((env for env in sim.queue if env.kind is Kind.UPDATE
+                           and env.recipient == "x3"), None)) is None:
+        sim.step()
+    update.best = None  # the original, in flight: no duplicate
+    text = "x3: UPDATE from x1 for iteration 1 carries no verdict, but x1 is x3's parent"
+    _assert_protocol_error(sim.run_to_quiescence, text, "x3", Kind.UPDATE, "x1", 1)
+
+
+def test_a_verdict_off_the_tree_raises(fig1, fig1_force):
+    sim = _forced_sim(fig1, fig1_force, iterations=3)
+    verdict, early = _x4_verdict_withheld(sim)
+    early.best = verdict.best  # the very verdict the swarm was stepped under
+    text = "x4: UPDATE from x3 for iteration 1 carries a verdict, but x3 is not x4's parent"
+    _assert_protocol_error(sim.run_to_quiescence, text, "x4", Kind.UPDATE, "x3", 1)
+
+
+@pytest.mark.parametrize("withheld, text", [
+    # x4 at iteration 0, its edge costs of 0 out: it holds iteration 1 early
+    (True, "x4: UPDATE from x3 for iteration 2 arrived at iteration 0"),
+    # x4 at iteration 1, its edge costs of 1 not out: no verdict 1 exists
+    (False, "x4: UPDATE from x3 for iteration 2 arrived at iteration 1"),
+], ids=["two-ahead", "ahead-of-the-edge-costs"])
+def test_an_update_ahead_of_what_can_be_held_early_raises(fig1, fig1_force, withheld, text):
+    sim = _forced_sim(fig1, fig1_force, iterations=3)
+    verdict, early = _x4_verdict_withheld(sim)
+    if not withheld:
+        sim.queue.insert(0, verdict)  # before x3's
+    early.iteration = 2
+    _assert_protocol_error(sim.run_to_quiescence, text, "x4", Kind.UPDATE, "x3", 2)
+
+
+@pytest.mark.parametrize("reason", [None, " arrived at iteration 1"], ids=["duplicate", "late"])
+@pytest.mark.parametrize("round_trip", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy,
+                                        copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_a_protocol_error_round_trips_with_its_fields(reason, round_trip):
+    error = ProtocolError("x3", Envelope(Kind.UPDATE, 2, "x1", "x3"), reason)
+    again = round_trip(error)
+    assert type(again) is ProtocolError and str(again) == str(error)
+    assert (again.agent, again.kind, again.sender, again.iteration, again.reason) == (
+        "x3", Kind.UPDATE, "x1", 2, reason)
+
+
 def test_unowed_fitness_envelope_raises(fig1, fig1_force):
     sim = _forced_sim(fig1, fig1_force, iterations=3)
     env = _fitness_envelope(sim, "x1")
@@ -575,6 +687,55 @@ def test_unowed_fitness_envelope_raises(fig1, fig1_force):
     sim.queue.append(replace(env, kind=Kind.AGG_FITNESS, sender="x2"))
     text = "x1: AGG_FITNESS from x2 for iteration 0, which x2 does not owe x1"
     _assert_protocol_error(sim.run_to_quiescence, text, "x1", Kind.AGG_FITNESS, "x2", 0)
+
+
+@pytest.mark.parametrize("schedule", [None, 8], ids=["synchronous", "shuffled"])
+@pytest.mark.parametrize("spec", [
+    GenSpec("erdos_renyi", 16, 4, p=0.3),
+    GenSpec("scale_free", 30, 5, m=2),
+    GenSpec("random_tree", 15, 6),
+], ids=["er", "scale-free", "tree"])
+def test_edge_costs_read_only_what_was_delivered(monkeypatch, spec, schedule):
+    # the operands of each edge cost are this agent's own positions and the
+    # very array its H member's envelope of that iteration delivered to it,
+    # never a read of another agent's state
+    problem, T = generate(spec), 10
+    delivered = {}  # (recipient, sender, iteration) -> positions
+    own = {}        # (agent, iteration) -> positions
+    operands = []   # (agent, H member, iteration, xi, xj)
+    fire, send = AgentMachine.fire, AgentMachine._send_edge_costs
+
+    def receiving(machine, round_no, inbox):
+        for env in inbox:
+            if env.values is not None:
+                key = (machine.id, env.sender, env.iteration)
+                assert key not in delivered
+                delivered[key] = env.values
+        return fire(machine, round_no, inbox)
+
+    def sending(machine):
+        batch = machine.edge_batch
+        start = len(batch.envelopes)
+        send(machine)
+        for env, xi, xj in zip(batch.envelopes[start:], batch.xi[start:], batch.xj[start:]):
+            operands.append((machine.id, env.recipient, env.iteration, xi, xj))
+
+    def record(event):
+        if isinstance(event, Moved):
+            own[event.agent, event.iteration] = event.position
+
+    monkeypatch.setattr(AgentMachine, "fire", receiving)
+    monkeypatch.setattr(AgentMachine, "_send_edge_costs", sending)
+    sim = Simulator(problem, SwarmParams(K=5, seed=4), T, on_event=record)
+    if schedule is None:
+        sim.run_to_quiescence()
+    else:
+        _run_shuffled(sim, schedule)
+    assert len(operands) == T * len(problem.constraints)
+    for agent, h, t, xi, xj in operands:
+        theirs, mine = delivered[agent, h, t], own[agent, t]
+        expected = (theirs, mine) if problem.adjacency[agent][h].i == h else (mine, theirs)
+        assert xi is expected[0] and xj is expected[1]
 
 
 class _Snapshots:
@@ -829,15 +990,20 @@ def test_a_swarm_beyond_physical_memory_is_refused_before_allocating(fig1):
 
 def test_update_envelopes_batch_values_and_verdict(fig1, fig1_force):
     rec = Recorder()
-    _forced_sim(fig1, fig1_force, iterations=3, on_event=rec).run_to_quiescence()
+    sim = _forced_sim(fig1, fig1_force, iterations=3, on_event=rec)
+    sim.run_to_quiescence()
     updates = [e for e in rec.sent if e.kind is Kind.UPDATE]
     assert updates, "expected UPDATE traffic"
     for env in updates:
         # positions on every UPDATE but the final ones, which no agent costs
         assert (env.values is None) == (env.iteration == 3)
-        assert env.best is not None
-        assert env.best.iteration == env.iteration - 1
+        # the verdict goes down the tree edges only
+        assert (env.best is not None) == (env.recipient in sim.tree.children[env.sender])
+        if env.best is not None:
+            assert env.best.iteration == env.iteration - 1
     assert len([e for e in updates if e.iteration == 3]) == len(fig1.constraints)
+    # x3 -> x4 is the one edge off the tree
+    assert {(e.sender, e.recipient) for e in updates if e.best is None} == {("x3", "x4")}
     values_only = [e for e in rec.sent if e.kind is Kind.VALUE]
     assert all(e.iteration == 0 and e.best is None for e in values_only)
 
@@ -862,20 +1028,21 @@ def test_envelope_scalars_accounting(fig1, fig1_force):
     GenSpec("random_tree", 13, 5),
 ], ids=["er", "scale-free", "tree"])
 def test_scalars_count_the_final_update_as_its_verdict(spec, schedule):
-    # E VALUEs, T*E edge costs and T*A aggregates of K; (T-1)*E UPDATEs of
-    # K positions and a K+4 verdict; E final UPDATEs of the verdict only
+    # E VALUEs, T*E edge costs and T*A aggregates of K; (T-1)*E UPDATEs of K
+    # positions, E final UPDATEs without; a K+4 verdict on each of the n-1
+    # tree edges per iteration
     problem, K, T = generate(spec), 7, 9
     sim = Simulator(problem, SwarmParams(K=K, seed=2), T)
     trace = sim.run_to_quiescence() if schedule is None else _run_shuffled(sim, schedule)
-    E = len(problem.constraints)
+    E, n = len(problem.constraints), problem.n_agents
     A = sum(1 for a in problem.ids if a != sim.tree.root and sim.tree.L[a])
     assert sim.cum_envelopes == (2 * T + 1) * E + T * A
-    assert sim.cum_scalars == (K * E + K * T * E + K * T * A + (2 * K + 4) * (T - 1) * E
-                               + (K + 4) * E)
-    # the last row counts the root's final UPDATEs and no one else's
-    root_finals = len(sim.tree.L[sim.tree.root])
-    assert trace.rows[-1].scalars == (K * E + K * T * E + K * T * A
-                                      + (2 * K + 4) * (T - 1) * E + (K + 4) * root_finals)
+    assert sim.cum_scalars == 2 * K * T * E + K * T * A + (K + 4) * T * (n - 1)
+    # the last row counts the root's final UPDATEs, to its children, and no
+    # one else's
+    root_finals = len(sim.tree.children[sim.tree.root])
+    assert trace.rows[-1].scalars == (K * E + K * T * E + K * T * A + K * (T - 1) * E
+                                      + (K + 4) * ((T - 1) * (n - 1) + root_finals))
 
 
 def test_iterations_must_be_positive(fig1):
