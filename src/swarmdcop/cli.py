@@ -149,7 +149,8 @@ def _print_event(event):
     if isinstance(event, Judged):
         best = event.best
         print(f"round {event.round}: iteration {best.iteration + 1} judged, "
-              f"gbest={best.gbest_fitness!r} changed={best.gbest_changed}", file=sys.stderr)
+              f"gbest={best.gbest_fitness!r} changed={best.gbest_changed} "
+              f"improved={best.improved_flags().sum()}", file=sys.stderr)
     elif isinstance(event, RoundReport):
         print(f"round {event.round}: delivered {event.delivered}, "
               f"fired {event.fired}, sent {event.sent}", file=sys.stderr)

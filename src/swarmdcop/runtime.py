@@ -152,11 +152,18 @@ class ProtocolError(RuntimeError):
 _FINAL = object()
 
 
+def verdict_scalars(best: BestInfo) -> int:
+    """A verdict's size in 8-byte scalars: its bytes of packed improvement
+    flags, rounded up to whole scalars, + gbest index/value/changed and rho."""
+    return -(-best.improved.size // 8) + 4
+
+
 def envelope_scalars(env: Envelope, K: int) -> int:
     """Payload size in scalars: K per vector; UPDATE = positions, if any, +
-    verdict, if any (K improved flags, gbest index/value/changed, rho)."""
+    verdict, if any (`verdict_scalars`)."""
     if env.kind is _UPDATE:
-        return (0 if env.values is None else K) + (0 if env.best is None else K + 4)
+        best = env.best
+        return (0 if env.values is None else K) + (0 if best is None else verdict_scalars(best))
     return K
 
 
@@ -558,15 +565,14 @@ class Simulator:
             for record in records:
                 on_event(record)
             sent = [record for record in records if record.__class__ is Envelope]
-        # as `envelope_scalars` counts them: K + 4 per verdict, and K per
-        # envelope unless it is a final UPDATE. Every envelope sent once the
-        # root has applied the final verdict is a final UPDATE, and none
-        # before it is: the root judges the final iteration only after every
-        # envelope of it has been delivered.
-        K = self.params.K
-        verdicts = len(sent) - [env.best for env in sent].count(None)
+        # as `envelope_scalars` counts them: `verdict_scalars` per verdict,
+        # and K per envelope unless it is a final UPDATE. Every envelope sent
+        # once the root has applied the final verdict is a final UPDATE, and
+        # none before it is: the root judges the final iteration only after
+        # every envelope of it has been delivered.
+        verdicts = sum(verdict_scalars(env.best) for env in sent if env.best is not None)
         self.cum_envelopes += len(sent)
-        self.cum_scalars += (0 if self.root.done else K * len(sent)) + (K + 4) * verdicts
+        self.cum_scalars += (0 if self.root.done else self.params.K * len(sent)) + verdicts
         self.queue += sent
         records.clear()
 

@@ -114,14 +114,21 @@ class SwarmParams:
 
 @dataclass
 class BestInfo:
-    """Per-iteration verdict computed at the root and broadcast down."""
+    """Per-iteration verdict computed at the root and broadcast down. Its K
+    improvement flags travel packed 8 to a byte, so on the wire it is
+    ceil(K/64) + 4 scalars of 8 bytes, whatever the particles did."""
 
     iteration: int
-    improved: np.ndarray       # bool, K: particle k improved its personal best
+    improved: np.ndarray       # uint8, ceil(K/8): np.packbits of "particle k improved its pbest"
     gbest_index: int
     gbest_fitness: float
     gbest_changed: bool
     rho: float                 # search radius of the global-best particle's next move
+
+    def improved_flags(self, K: int | None = None) -> np.ndarray:
+        """The first K improvement flags as bools; all 8 per byte if K is
+        None, the padding bits past the swarm's K reading False."""
+        return np.unpackbits(self.improved, count=K).view(bool)
 
 
 @dataclass
@@ -375,7 +382,7 @@ def root_update(root: RootState, fitness: np.ndarray, params: SwarmParams,
     root.rho = rho_update(root.rho, root.s_c, root.f_c, params.max_sc, params.max_fc, t)
     return BestInfo(
         iteration=t,
-        improved=improved,
+        improved=np.packbits(improved),
         gbest_index=root.gbest_index,
         gbest_fitness=root.gbest_fitness,
         gbest_changed=changed,
@@ -394,7 +401,8 @@ def apply_best(state: AgentSwarmState, best: BestInfo, params: SwarmParams,
     along the last axis, so each element rounds as in the per-agent call and
     a block step is bit-identical to stepping its agents one by one.
     """
-    state.pbest_component = np.where(best.improved, state.position, state.pbest_component)
+    state.pbest_component = np.where(best.improved_flags(params.K), state.position,
+                                     state.pbest_component)
     g = slice(best.gbest_index, best.gbest_index + 1)  # keeps the particle axis
     gbest_component = state.pbest_component[..., g]
 

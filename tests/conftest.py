@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from swarmdcop import Constraint, ContinuousDomain, Problem, QuadraticCost
+from swarmdcop.rng import SplitMix64
 from swarmdcop.runtime import Envelope, Judged, Moved, RoundReport
 
 
@@ -66,3 +67,26 @@ class Recorder:
     def fitness(self) -> dict:
         """iteration -> the fitness vector the root judged."""
         return {j.best.iteration: j.fitness for j in self.judged}
+
+
+def run_shuffled(sim, seed):
+    """Drive `sim` to quiescence, delivering each round's envelopes in a
+    shuffled order and holding about a quarter of them back 1-3 extra
+    rounds, all drawn from one SplitMix64 stream."""
+    rng = SplitMix64(seed)
+    held = []  # (round of delivery, envelope)
+    while held or not sim.quiescent:
+        now = sim.round + 1
+        due = [env for r, env in held if r == now]
+        held = [(r, env) for r, env in held if r != now]
+        for env in sim.queue:
+            if rng.random() < 0.25:
+                held.append((now + 1 + rng.below(3), env))
+            else:
+                due.append(env)
+        for k in range(len(due) - 1, 0, -1):
+            m = rng.below(k + 1)
+            due[k], due[m] = due[m], due[k]
+        sim.queue = due
+        sim.step()
+    return sim.trace

@@ -137,12 +137,12 @@ def test_solve_verbose_event_log(fig1_files, tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "round 1: delivered 4, fired 3, sent 4",
         "round 2: delivered 4, fired 2, sent 1",
-        "round 3: iteration 1 judged, gbest=32.989999999999995 changed=True",
+        "round 3: iteration 1 judged, gbest=32.989999999999995 changed=True improved=2",
         "round 3: delivered 1, fired 1, sent 3",
         "round 4: delivered 3, fired 3, sent 3",
         "round 5: delivered 3, fired 2, sent 2",
         "round 6: delivered 2, fired 2, sent 1",
-        "round 7: iteration 2 judged, gbest=10.415435401730344 changed=True",
+        "round 7: iteration 2 judged, gbest=10.415435401730344 changed=True improved=2",
         "round 7: delivered 1, fired 1, sent 3",
         "round 8: delivered 3, fired 3, sent 1",
         "round 9: delivered 1, fired 1, sent 0",

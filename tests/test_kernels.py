@@ -22,15 +22,16 @@ def _mixed_domains(problem):
 
 # sha256 of both solvers' trace CSVs and the distributed swarm's final
 # positions, velocities and personal bests, recorded before the kernels
-# computed in place and re-recorded when the verdict went down the tree edges
-# only, which lowered every trace row's scalars (the earlier values were
-# reproduced with those scalars put back); any reordered or fused operation
-# changes them
+# computed in place and re-recorded twice since, as the trace rows' scalars
+# fell: when the verdict went down the tree edges only, and when its K flags
+# came to travel packed, ceil(K/64) + 4 scalars in place of K + 4 (each time
+# the earlier values were reproduced with the old scalars put back);
+# any reordered or fused operation changes them
 FINGERPRINTS = {
-    "er20-k2000": "f9945bb6ee3e2bd54daea38a211301319ba446ceb48b0f59783efcc0fb88e008",
-    "sf200-k50": "5b81bf9c6749ae6f23149c7347f319bcc11f2183b79b2a89b9f321c3ebd23901",
-    "fig1-force-init": "617b40ff4abf0b206894df25c2925ccc88846c2dc20eb1d5b84c22963b345fd6",
-    "mixed-clamped": "f533524d2da2980eda19012c07d4db18692d1fb8f60ed49a67394776122a4deb",
+    "er20-k2000": "20ac1f7f7889cf7df6c9bf12f20559b4db736efaf1b1e0af1b142de1f5f3ac27",
+    "sf200-k50": "408321e727bd503cd6db5f6c0e3c1ced80ea4a9113ab915c34f316a9b479508e",
+    "fig1-force-init": "4bf7a595cf93073a13824bef1d9a17d81d826800165068804bae24e5197c0a90",
+    "mixed-clamped": "07fec1efb247213489ebf3af4936169a67d984fce5c490daf99be7cf50d0c77b",
 }
 
 
@@ -73,7 +74,8 @@ def test_kernels_write_into_none_of_their_inputs(rows, clamp):
     state = fresh_state(K, bounds, seed, ordinals)
     state.velocity = keyed_uniforms(seed, ordinals, 9, DRAW_INIT, K) - 0.5  # nonzero
     params = SwarmParams(K=K, w=1.0, c1=4.0, c2=4.0, clamp_velocity=clamp, seed=seed)
-    best = BestInfo(iteration=1, improved=keyed_uniforms(seed, 99, 0, DRAW_INIT, K) < 0.5,
+    improved = np.packbits(keyed_uniforms(seed, 99, 0, DRAW_INIT, K) < 0.5)
+    best = BestInfo(iteration=1, improved=improved,
                     gbest_index=4, gbest_fitness=1.0, gbest_changed=True, rho=0.5)
     r1 = keyed_uniforms(seed, ordinals, 1, DRAW_R1, K)
     r2 = keyed_uniforms(seed, ordinals, 1, DRAW_R2, K)

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swarmdcop import (
     Constraint,
@@ -26,12 +28,12 @@ from swarmdcop import (
     runtime,
     swarm,
 )
-from swarmdcop.rng import DRAW_R1, DRAW_R2, SplitMix64, keyed_uniforms
+from swarmdcop.rng import DRAW_R1, DRAW_R2, keyed_uniforms
 from swarmdcop.runtime import (AgentMachine, Envelope, Judged, Kind, Moved, Simulator,
                                envelope_scalars, parse_trace_csv)
 from swarmdcop.swarm import RootState, apply_best, fresh_state, root_update
 
-from conftest import FIG1_FITNESS_P1, FIG1_FITNESS_P2, Recorder
+from conftest import FIG1_FITNESS_P1, FIG1_FITNESS_P2, Recorder, run_shuffled
 
 
 def _forced_sim(fig1, fig1_force, iterations=1, **kw):
@@ -383,29 +385,6 @@ def test_deadlock_detection_names_the_verdict_wait(fig1, fig1_force):
         sim.run_to_quiescence()
 
 
-def _run_shuffled(sim, seed):
-    """Drive `sim` to quiescence, delivering each round's envelopes in a
-    shuffled order and holding about a quarter of them back 1-3 extra
-    rounds, all drawn from one SplitMix64 stream."""
-    rng = SplitMix64(seed)
-    held = []  # (round of delivery, envelope)
-    while held or not sim.quiescent:
-        now = sim.round + 1
-        due = [env for r, env in held if r == now]
-        held = [(r, env) for r, env in held if r != now]
-        for env in sim.queue:
-            if rng.random() < 0.25:
-                held.append((now + 1 + rng.below(3), env))
-            else:
-                due.append(env)
-        for k in range(len(due) - 1, 0, -1):
-            m = rng.below(k + 1)
-            due[k], due[m] = due[m], due[k]
-        sim.queue = due
-        sim.step()
-    return sim.trace
-
-
 class _StreamDigest:
     """A `Simulator(on_event=...)` callable that hashes every record as it is
     emitted: each envelope's kind, iteration, sender, recipient and payload
@@ -441,13 +420,16 @@ class _StreamDigest:
 # values were reproduced from that change's streams with the verdict put back
 # on each UPDATE off the tree, each agent's UPDATEs in L order and the rows'
 # scalars put back; the shuffled schedules deliver a reordered queue, so
-# theirs differ in rounds too); any change to the envelopes, their order or
+# theirs differ in rounds too), and re-recorded when the verdict's K flags
+# came to travel packed 8 to a byte (all four earlier values were reproduced
+# with each verdict's bytes hashed as the K-flag mask they pack and K + 4
+# scalars counted per verdict); any change to the envelopes, their order or
 # their payloads changes them
 STREAM_DIGESTS = {
-    ("sf200-k8", "synchronous"): "b302c7c010cb1690244d96d23a33ebe2eb3e9795ece794625558d371bc58478a",
-    ("sf200-k8", "shuffled"): "8f8d63afed13dad628100fee87d53dda0a2e5bbd28cfb7c56869a95e3adf8d23",
-    ("er20-k16", "synchronous"): "b2ad097c05c1769b0ad61374676604df6c0a584c13777429a57850bda004111b",
-    ("er20-k16", "shuffled"): "0fe6ae01dc81d8aa903e629b0de2e519d4b325a6562d8a87f42c1e0afd85aa32",
+    ("sf200-k8", "synchronous"): "14a0109a3e35c1c36654a433e6b2d351c4a73def61d33800aa9840f97cfe0af9",
+    ("sf200-k8", "shuffled"): "d1d1cade2a10cff81df2255134f4a25e09ea3edac685d76580049299e2ff4daf",
+    ("er20-k16", "synchronous"): "8d1e95f86172994b1c93e1e426ba7b444595a37dcf86307d5b7807bba39bf672",
+    ("er20-k16", "shuffled"): "c93054ff3b24793f17b5387c270da87756aeea08a337ea164f11ea094337bb70",
 }
 
 
@@ -459,7 +441,7 @@ def test_the_event_stream_keeps_its_bits(case, schedule):
         problem, params, T = generate(GenSpec("erdos_renyi", 20, 6, p=0.2)), SwarmParams(K=16, seed=5), 30
     digest = _StreamDigest()
     sim = Simulator(problem, params, T, on_event=digest)
-    trace = sim.run_to_quiescence() if schedule == "synchronous" else _run_shuffled(sim, 7)
+    trace = sim.run_to_quiescence() if schedule == "synchronous" else run_shuffled(sim, 7)
     digest.hash.update(trace.to_csv().encode())
     assert digest.hash.hexdigest() == STREAM_DIGESTS[case, schedule]
 
@@ -476,13 +458,70 @@ def test_results_do_not_depend_on_the_schedule(spec, schedule):
     sim = Simulator(problem, params, 25, on_event=synchronous)
     expected = sim.run_to_quiescence().gbest_series()
     other = Simulator(problem, params, 25, on_event=shuffled)
-    got = _run_shuffled(other, (17 << 8) | schedule).gbest_series()
+    got = run_shuffled(other, (17 << 8) | schedule).gbest_series()
     assert other.round > sim.round  # the held envelopes did delay the run
     assert got == expected == centralized_gcpso(problem, params, 25).gbest_series()
     assert (other.cum_envelopes, other.cum_scalars) == (sim.cum_envelopes, sim.cum_scalars)
     assert len(shuffled.judged) == len(synchronous.judged) == 25
     for a, b in zip(shuffled.judged, synchronous.judged):
         assert a.fitness.tobytes() == b.fitness.tobytes()
+
+
+@st.composite
+def _runs(draw):
+    """A problem, solver parameters, an iteration count and a schedule seed:
+    any topology, 1-15 agents, coefficients up to 1e307, domain widths down
+    to 1e-300, 1-8 particles, and any w, c1, c2 and clamping."""
+    topology = draw(st.sampled_from(["erdos_renyi", "scale_free", "random_tree"]))
+    n = draw(st.integers(2 if topology == "scale_free" else 1, 15))
+    scale = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-3, 306))
+    width = 10.0 ** draw(st.integers(-300, 3))
+    lower = width * draw(st.floats(-2.0, 1.0))
+    spec = GenSpec(topology, n, draw(st.integers(0, 2**32)), coeff_range=(-scale, scale),
+                   domain=ContinuousDomain(lower, lower + width), p=draw(st.floats(0.3, 1.0)),
+                   m=draw(st.integers(1, max(1, min(3, n - 1)))))
+    coefficient = st.floats(0.0, 4.0)
+    params = SwarmParams(K=draw(st.integers(1, 8)), w=draw(coefficient), c1=draw(coefficient),
+                         c2=draw(coefficient), clamp_velocity=draw(st.booleans()),
+                         seed=draw(st.integers(0, 2**64 - 1)))
+    return generate(spec), params, draw(st.integers(1, 6)), draw(st.integers(0, 2**64 - 1))
+
+
+def _outcome(solve):
+    """What `solve()` returned, or the text of the ValueError it raised."""
+    try:
+        return solve(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+# few draws reach a NaN fitness (about 1 in 500): this one always does, at
+# particle 3 of iteration 0
+_NAN_RUN = (Problem(domains={a: ContinuousDomain(0.0, 160.0) for a in ("x1", "x2")},
+                    constraints=[Constraint("x1", "x2", QuadraticCost(1e304, -1e304, 0.0))]),
+            SwarmParams(K=8, seed=4), 5, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_runs())
+@example(_NAN_RUN)
+def test_every_schedule_gives_the_centralized_result(run_args):
+    # overflowing costs are part of the draw: an inf fitness compares as a
+    # number, and a NaN one raises the same ValueError in every solver
+    problem, params, T, schedule = run_args
+    with np.errstate(all="ignore"):
+        expected, error = _outcome(lambda: centralized_gcpso(problem, params, T))
+        synchronous, shuffled = (Simulator(problem, params, T) for _ in range(2))
+        assert _outcome(synchronous.run_to_quiescence)[1] == error
+        assert _outcome(lambda: run_shuffled(shuffled, schedule))[1] == error
+    if error is not None:
+        return
+    series = [repr(g) for g in expected.gbest_series()]
+    assert [repr(g) for g in synchronous.trace.gbest_series()] == series
+    assert [repr(g) for g in shuffled.trace.gbest_series()] == series
+    assert repr(shuffled.best_assignment()) == repr(synchronous.best_assignment())
+    assert ((shuffled.cum_envelopes, shuffled.cum_scalars)
+            == (synchronous.cum_envelopes, synchronous.cum_scalars))
 
 
 def _fitness_envelope(sim, recipient):
@@ -730,7 +769,7 @@ def test_edge_costs_read_only_what_was_delivered(monkeypatch, spec, schedule):
     if schedule is None:
         sim.run_to_quiescence()
     else:
-        _run_shuffled(sim, schedule)
+        run_shuffled(sim, schedule)
     assert len(operands) == T * len(problem.constraints)
     for agent, h, t, xi, xj in operands:
         theirs, mine = delivered[agent, h, t], own[agent, t]
@@ -765,7 +804,7 @@ def test_records_are_never_written_after_they_are_emitted(schedule):
     if schedule is None:
         sim.run_to_quiescence()
     else:
-        _run_shuffled(sim, schedule)
+        run_shuffled(sim, schedule)
     assert len(snapshots.taken) > sim.cum_envelopes
     for array, taken in snapshots.taken:
         assert array.tobytes() == taken
@@ -777,7 +816,7 @@ def test_trace_counters_count_the_envelopes_sent_before_each_verdict():
     problem, params = generate(GenSpec("scale_free", 40, 6, m=3)), SwarmParams(K=6, seed=2)
     events = []
     sim = Simulator(problem, params, 15, on_event=events.append)
-    rows = iter(_run_shuffled(sim, 4).rows)
+    rows = iter(run_shuffled(sim, 4).rows)
     envelopes = scalars = 0
     senders = set()  # of the records emitted so far this round
     judged = False   # this round: its verdicts are its last records
@@ -856,7 +895,7 @@ def test_blocks_of_a_few_agents_change_no_result(monkeypatch):
     moves.clear()
     rec = Recorder()
     shuffled = Simulator(problem, params, T, on_event=rec)
-    assert _run_shuffled(shuffled, 5).gbest_series() == default.trace.gbest_series()
+    assert run_shuffled(shuffled, 5).gbest_series() == default.trace.gbest_series()
     check_blocks_and_steps(shuffled, rec)
     assert _components(shuffled) == _components(default)
     depths = {}
@@ -909,7 +948,7 @@ def test_every_block_is_agent_major(problem, schedule):
     if schedule is None:
         sim.run_to_quiescence()
     else:
-        _run_shuffled(sim, schedule)
+        run_shuffled(sim, schedule)
     _assert_agent_major(sim)
 
 
@@ -1029,20 +1068,42 @@ def test_envelope_scalars_accounting(fig1, fig1_force):
 ], ids=["er", "scale-free", "tree"])
 def test_scalars_count_the_final_update_as_its_verdict(spec, schedule):
     # E VALUEs, T*E edge costs and T*A aggregates of K; (T-1)*E UPDATEs of K
-    # positions, E final UPDATEs without; a K+4 verdict on each of the n-1
-    # tree edges per iteration
+    # positions, E final UPDATEs without; a ceil(K/64)+4 verdict on each of
+    # the n-1 tree edges per iteration, whichever particles improved
     problem, K, T = generate(spec), 7, 9
     sim = Simulator(problem, SwarmParams(K=K, seed=2), T)
-    trace = sim.run_to_quiescence() if schedule is None else _run_shuffled(sim, schedule)
+    trace = sim.run_to_quiescence() if schedule is None else run_shuffled(sim, schedule)
     E, n = len(problem.constraints), problem.n_agents
     A = sum(1 for a in problem.ids if a != sim.tree.root and sim.tree.L[a])
+    verdict = -(-K // 64) + 4  # one word of flags at K=7, gbest index/value/changed, rho
     assert sim.cum_envelopes == (2 * T + 1) * E + T * A
-    assert sim.cum_scalars == 2 * K * T * E + K * T * A + (K + 4) * T * (n - 1)
+    assert sim.cum_scalars == 2 * K * T * E + K * T * A + verdict * T * (n - 1)
     # the last row counts the root's final UPDATEs, to its children, and no
     # one else's
     root_finals = len(sim.tree.children[sim.tree.root])
     assert trace.rows[-1].scalars == (K * E + K * T * E + K * T * A + K * (T - 1) * E
-                                      + (K + 4) * ((T - 1) * (n - 1) + root_finals))
+                                      + verdict * ((T - 1) * (n - 1) + root_finals))
+
+
+@pytest.mark.parametrize("K", [1, 3, 65])
+def test_a_verdict_costs_its_packed_flags_and_one_naming_no_particle_keeps_every_pbest(K):
+    domain, params = ContinuousDomain(-10.0, 10.0), SwarmParams(K=K, seed=1)
+    root, state = RootState(np.full(K, np.inf)), fresh_state(K, domain, 1, 0)
+    r1, r2 = np.full(K, 0.25), np.full(K, 0.75)
+    verdict = -(-K // 64) + 4  # ceil(K/64) words of flags, gbest index/value/changed, rho
+    first = root_update(root, np.arange(K, dtype=float), params, t=0)
+    assert first.improved_flags(K).all()
+    apply_best(state, first, params, domain, r1, r2)
+    position = state.position
+    assert envelope_scalars(Envelope(Kind.UPDATE, 1, "x1", "x2", position, None, first),
+                            K) == K + verdict
+    none = root_update(root, np.arange(K, dtype=float) + 1.0, params, t=1)
+    assert not none.improved_flags().any()
+    assert envelope_scalars(Envelope(Kind.UPDATE, 2, "x1", "x2", None, None, none), K) == verdict
+    pbest = state.pbest_component
+    assert position.tobytes() != pbest.tobytes()  # the gbest particle moved by rho
+    apply_best(state, none, params, domain, r1, r2)
+    assert state.pbest_component.tobytes() == pbest.tobytes()
 
 
 def test_iterations_must_be_positive(fig1):

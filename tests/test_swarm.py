@@ -88,7 +88,21 @@ PARAMS = SwarmParams(K=2)
 
 
 def _verdict(g_idx, g_fit, changed, improved, t=1):
-    return BestInfo(t, np.asarray(improved, dtype=bool), g_idx, g_fit, changed, rho=1.0)
+    return BestInfo(t, np.packbits(np.asarray(improved, dtype=bool)), g_idx, g_fit, changed, 1.0)
+
+
+@pytest.mark.parametrize("K", [1, 3, 63, 64, 65, 2000])
+def test_a_verdict_packs_its_flags_8_to_a_byte(K):
+    flags = keyed_uniforms(5, K, 0, DRAW_INIT, K) < 0.5
+    root = RootState(np.where(flags, 1.0, 0.0))
+    best = root_update(root, np.full(K, 0.5), SwarmParams(K=K), t=1)
+    assert best.improved.dtype == np.uint8
+    assert best.improved.size == -(-K // 8)
+    assert best.improved_flags(K).tolist() == flags.tolist()
+    assert not best.improved_flags()[K:].any()  # the padding bits are 0
+    bytes_ = [sum(128 >> k % 8 for k in map(int, np.flatnonzero(flags)) if k // 8 == b)
+              for b in range(best.improved.size)]
+    assert best.improved.tolist() == bytes_  # flag k is bit 7 - k % 8 of byte k // 8
 
 
 def _root(pbest, g_idx, g_fit, s_c=0, f_c=0):
@@ -115,7 +129,7 @@ def test_counters_other_particle_overtakes():
     root = _root([5.0, 3.0], g_idx=1, g_fit=3.0, s_c=4, f_c=0)
     best = root_update(root, np.array([2.0, 4.0]), PARAMS, t=1)
     assert (best.gbest_index, best.gbest_fitness, best.gbest_changed) == (0, 2.0, True)
-    assert best.improved.tolist() == [True, False]
+    assert best.improved_flags(2).tolist() == [True, False]
     assert (root.s_c, root.f_c) == (0, 0)
 
 
@@ -141,13 +155,13 @@ def test_root_update_worked_example():
     assert best.gbest_index == 1
     assert best.gbest_fitness == 32.99
     assert best.gbest_changed
-    assert best.improved.tolist() == [True, True]
+    assert best.improved_flags(2).tolist() == [True, True]
 
 
 def test_root_update_ties_keep_incumbents():
     root = _root([4.0, 7.0], g_idx=0, g_fit=4.0)
     best = root_update(root, np.array([4.0, 7.0]), PARAMS, t=3)
-    assert not best.improved.any()
+    assert best.improved.tolist() == [0]  # one word, no bit set
     assert not best.gbest_changed
     assert best.gbest_index == 0
     assert best.gbest_fitness == 4.0
@@ -163,7 +177,7 @@ def test_root_update_compares_infinities_and_raises_on_nan():
     root = RootState(np.array([math.inf] * 3))
     best = root_update(root, np.array([math.inf, -math.inf, 1.0]), PARAMS, t=0)
     assert (best.gbest_index, best.gbest_fitness) == (1, -math.inf)
-    assert best.improved.tolist() == [False, True, True]
+    assert best.improved_flags(3).tolist() == [False, True, True]
     with pytest.raises(ValueError, match="iteration 1: the fitness of particle 2 is NaN"):
         root_update(root, np.array([0.0, -math.inf, math.nan]), PARAMS, t=1)
 
@@ -221,7 +235,7 @@ def test_best_fitness_sequences_never_increase(rounds):
         assert best.gbest_fitness <= g_fit
         assert best.gbest_fitness == root.pbest_fitness.min()
         if best.gbest_changed:
-            assert best.improved[best.gbest_index]
+            assert best.improved_flags(3)[best.gbest_index]
 
 
 def test_apply_best_refreshes_components_from_judged_positions():
@@ -230,7 +244,7 @@ def test_apply_best_refreshes_components_from_judged_positions():
     state = fresh_state(3, domain, 1, 0, forced=np.array([1.0, -2.0, 5.0]))
     root = RootState(np.array([5.0, math.inf, math.inf]))
     best = root_update(root, np.array([10.0, 3.0, 8.0]), params, t=0)
-    assert best.improved.tolist() == [False, True, True]
+    assert best.improved_flags(3).tolist() == [False, True, True]
     assert (best.gbest_index, best.gbest_fitness, best.gbest_changed) == (1, 3.0, True)
     assert best.rho == root.rho == 1.0  # t=0 case
     assert (root.s_c, root.f_c) == (1, 0)
