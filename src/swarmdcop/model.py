@@ -6,6 +6,12 @@ positionally to the constraint's ordered scope. The global objective is the
 sum of edge costs; `global_cost` accumulates it in constraint-list order.
 The solvers sum fitness in the pseudo-tree's order instead (see
 `pseudotree`), so their traces do not depend on the constraint order.
+
+The value types `ContinuousDomain`, `QuadraticCost` and `Constraint` are
+slotted dataclasses, immutable by convention like `Problem`: each checks
+its value facts in `__post_init__`, compares and hashes by value, and costs
+less than half of a frozen dataclass to build, which `parse_problem` does
+once per agent and twice per constraint.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ class ProblemFormatError(ValueError):
     """Malformed or inconsistent problem; the message starts with its field path from the raiser."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ContinuousDomain:
     lower: float
     upper: float
@@ -40,7 +46,7 @@ class ContinuousDomain:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class QuadraticCost:
     """cost(xi, xj) = a*xi^2 + b*xi*xj + c*xj^2"""
 
@@ -54,7 +60,7 @@ class QuadraticCost:
             raise ProblemFormatError(f"{name}: number must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Constraint:
     """Binary constraint; scope order (i, j) fixes which variable binds to xi."""
 
@@ -247,16 +253,19 @@ def parse_problem(text: str) -> Problem:
         if not (isinstance(i, str) and isinstance(j, str)):
             pos = 0 if not isinstance(i, str) else 1
             raise ProblemFormatError(f"constraints[{idx}].scope[{pos}]: expected an agent id")
-        coeffs = []
-        for name in "abc":
-            value = entry.get(name)
-            if type(value) is not float:
-                if name not in entry:
-                    raise ProblemFormatError(f"constraints[{idx}].{name}: missing coefficient")
-                value = _number(value, "constraints[%d].%s", idx, name)
-            coeffs.append(value)
+        a, b, c = entry.get("a"), entry.get("b"), entry.get("c")
+        if not (type(a) is float and type(b) is float and type(c) is float):
+            coeffs = []
+            for name in "abc":
+                value = entry.get(name)
+                if type(value) is not float:
+                    if name not in entry:
+                        raise ProblemFormatError(f"constraints[{idx}].{name}: missing coefficient")
+                    value = _number(value, "constraints[%d].%s", idx, name)
+                coeffs.append(value)
+            a, b, c = coeffs
         try:
-            constraints.append(Constraint(i, j, QuadraticCost(*coeffs)))
+            constraints.append(Constraint(i, j, QuadraticCost(a, b, c)))
         except ProblemFormatError as exc:
             raise ProblemFormatError(f"constraints[{idx}].{exc}") from exc
 

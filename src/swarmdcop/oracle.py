@@ -50,10 +50,14 @@ def _fold_plan(problem: Problem, rows: int):
     order = sorted(children, key=lambda a: (-tree.depth[a], -len(children[a]), -len(tree.L[a])))
     row = {a: r for r, a in enumerate(order)}
 
-    edges = []  # (sum row, constraint, first slot) in fold order
-    for j in range(max((len(tree.L[a]) for a in order), default=0)):
-        edges.extend((row[a], problem.constraint_between(a, tree.L[a][j]), j == 0)
-                     for a in order if len(tree.L[a]) > j)
+    slots = []  # slot j: (sum row, constraint, first slot) of every L[a][j], in row order
+    for a in order:
+        adjacency = problem.adjacency[a]
+        for j, low in enumerate(tree.L[a]):
+            if j == len(slots):
+                slots.append([])
+            slots[j].append((row[a], adjacency[low], j == 0))
+    edges = [edge for slot in slots for edge in slot]  # in fold order
     edge_blocks = []
     for lo in range(0, len(edges), rows):
         block = edges[lo:lo + rows]

@@ -44,10 +44,13 @@ def build_bfs_pseudotree(problem: Problem) -> PseudoTree:
     root = problem.ids[0]
     depth = {root: 0}
     parent: dict[str, str] = {}
-    children: dict[str, list[str]] = {a: [] for a in problem.ids}
+    # in id order; the walk reaches every agent of the connected graph and
+    # sets its entry
+    children: dict[str, list[str]] = dict.fromkeys(problem.ids)
     bfs = [root]
     for current in bfs:  # grows as agents are found
-        found = sorted([nbr for nbr in adjacency[current] if nbr not in depth])
+        found = [nbr for nbr in adjacency[current] if nbr not in depth]
+        found.sort()
         for nbr in found:
             depth[nbr] = depth[current] + 1
             parent[nbr] = current

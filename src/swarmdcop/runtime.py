@@ -295,7 +295,7 @@ class AgentMachine:
         self.slots = tree.fitness_slots[agent_id]
         # the constraint of each edge this agent costs, in H order
         adjacency = problem.adjacency[agent_id]
-        self.constraints = tuple(adjacency[h] for h in self.H)
+        self.constraints = tuple(map(adjacency.__getitem__, self.H))
 
         # the swarm, shared by all agents, which the root steps under each
         # verdict it judges; `position` is this agent's row of the generation

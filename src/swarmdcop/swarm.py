@@ -22,7 +22,10 @@ once per verdict (one key grid per draw and one `apply_best` per block of
 agents) on the same keyed random draws, so their particle trajectories are
 bit-identical. Each generation's positions are one (n, K) array; a step
 makes a new one and writes into no old array, so the generation it stepped
-from stays intact for whoever still reads it.
+from stays intact for whoever still reads it. Set-up draws the initial
+positions once, from one (n, 2) table of bounds, into the generation-0
+array, which is also the initial personal bests: shared, not copied, since
+no array is written in place after set-up.
 
 A step makes about 30 numpy calls per block, so with few agents a block
 their overhead is much of its cost. Computing in place halves a step's
@@ -159,9 +162,13 @@ class AgentSwarmState:
 def domain_bounds(domains: list[ContinuousDomain]) -> SimpleNamespace:
     """The domains of a block of agents, as `apply_best` and `fresh_state`
     read a domain: lower, upper and width columns of shape (rows, 1), one
-    row per agent, which broadcast along each agent's K particles."""
-    lower = np.array([[d.lower] for d in domains])
-    upper = np.array([[d.upper] for d in domains])
+    row per agent, which broadcast along each agent's K particles. Lower
+    and upper are the columns of one (rows, 2) table."""
+    table = np.empty((len(domains), 2))
+    # filled column by column: np.array of (lower, upper) pairs took 3x as long
+    table[:, 0] = [d.lower for d in domains]
+    table[:, 1] = [d.upper for d in domains]
+    lower, upper = table[:, :1], table[:, 1:]
     return SimpleNamespace(lower=lower, upper=upper, width=upper - lower)
 
 
@@ -186,18 +193,22 @@ class Swarm:
                               f"more than this machine's physical memory")
         forced = check_force_init(force_init, problem.domains, K)
         self.problem, self.params, self.verdict = problem, params, None
-        self.position = np.empty((n, K))
+        # one initial state for the whole swarm; each block's starts as views
+        # of its rows
+        bounds, ordinals = domain_bounds(list(problem.domains.values())), np.arange(n)
+        init = fresh_state(K, bounds, params.seed, ordinals,
+                           None if force_init is None else [forced[a] for a in problem.ids])
+        self.position = init.position
         self._rows = rows = block_rows(K)
         self._blocks = []  # (rows of `position`, their ordinals, domain_bounds, state)
         for lo in range(0, n, rows):
-            agents = problem.ids[lo:lo + rows]
-            span, ordinals = slice(lo, lo + len(agents)), np.arange(lo, lo + len(agents))
-            bounds = domain_bounds([problem.domains[a] for a in agents])
-            state = fresh_state(K, bounds, params.seed, ordinals,
-                                None if force_init is None else [forced[a] for a in agents])
-            self.position[span] = state.position
-            state.position = self.position[span]
-            self._blocks.append((span, ordinals, bounds, state))
+            span = slice(lo, min(lo + rows, n))
+            self._blocks.append((
+                span, ordinals[span],
+                SimpleNamespace(lower=bounds.lower[span], upper=bounds.upper[span],
+                                width=bounds.width[span]),
+                AgentSwarmState(init.position[span], init.velocity[span],
+                                init.pbest_component[span])))
         self.root = RootState(np.full(K, np.inf))
 
     def row(self, o: int) -> AgentSwarmState:
@@ -234,7 +245,10 @@ def fresh_state(K: int, domain: ContinuousDomain, seed: int, ordinal: int | np.n
                 forced: np.ndarray | None = None) -> AgentSwarmState:
     """Initial state of agent `ordinal`: zero velocities and positions uniform
     on the domain from its keyed stream, or `forced` positions, which must
-    already pass `check_force_init`.
+    already pass `check_force_init`. The positions are drawn once, scaled
+    in place (`u *= width; u += lower` rounds as `lower + u * width`), and
+    are also the personal bests: one array, since no step writes into an
+    old one.
 
     `ordinal` may also be an array of ordinals, with `domain` their
     `domain_bounds` and `forced`, if given, one row per ordinal: the state is
@@ -242,14 +256,13 @@ def fresh_state(K: int, domain: ContinuousDomain, seed: int, ordinal: int | np.n
     row is bit-identical to the per-agent state.
     """
     if forced is None:
-        positions = domain.lower + keyed_uniforms(seed, ordinal, 0, DRAW_INIT, K) * domain.width
+        positions = keyed_uniforms(seed, ordinal, 0, DRAW_INIT, K)
+        positions *= domain.width
+        positions += domain.lower
     else:
         positions = np.array(forced, dtype=np.float64)
-    return AgentSwarmState(
-        position=positions,
-        velocity=np.zeros_like(positions),
-        pbest_component=positions.copy(),
-    )
+    return AgentSwarmState(position=positions, velocity=np.zeros_like(positions),
+                           pbest_component=positions)
 
 
 def check_force_init(force_init: dict | None, domains: dict[str, ContinuousDomain],

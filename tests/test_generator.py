@@ -99,6 +99,13 @@ def test_a_non_real_p_is_rejected(p):
         GenSpec(topology="erdos_renyi", n=3, seed=0, p=p)
 
 
+def test_a_spec_builds_and_hashes_with_its_default_domain():
+    spec = GenSpec("random_tree", 3, 0)
+    assert spec.domain == ContinuousDomain(-50.0, 50.0)
+    assert hash(spec) == hash(GenSpec("random_tree", 3, 0))
+    assert all(d == spec.domain for d in generate(spec).domains.values())
+
+
 def test_a_domain_that_is_not_a_continuous_domain_is_rejected():
     message = "domain must be a ContinuousDomain, got (-1.0, 1.0)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -185,6 +185,7 @@ def test_a_problem_built_directly_names_an_unknown_scope_agent():
     ((math.nan, 0.0, 0.0), "a"),
     ((1.0, math.inf, 0.0), "b"),
     ((1.0, 0.0, -math.inf), "c"),
+    ((0.0, math.nan, math.inf), "b"),  # the first that fails is named
 ])
 def test_a_non_finite_coefficient_is_named(coeffs, name):
     with pytest.raises(ProblemFormatError, match=f"^{name}: number must be finite$"):
@@ -209,6 +210,47 @@ def test_invalid_domain_rejected():
         ContinuousDomain(0.0, math.inf)
     with pytest.raises(ProblemFormatError, match=r"^domain\[0\]: number must be finite$"):
         ContinuousDomain(math.nan, 1.0)
+    with pytest.raises(ProblemFormatError, match=r"^domain\[0\]: number must be finite$"):
+        ContinuousDomain(-math.inf, math.nan)
+
+
+def test_value_types_compare_and_hash_by_value():
+    cost = QuadraticCost(1.0, -0.5, 0.0)
+    pairs = [
+        (ContinuousDomain(-1.0, 1.0), ContinuousDomain(-1.0, 1.0), ContinuousDomain(-1.0, 2.0)),
+        (cost, QuadraticCost(1.0, -0.5, 0.0), QuadraticCost(1.0, -0.5, 1.0)),
+        (Constraint("x1", "x2", cost), Constraint("x1", "x2", QuadraticCost(1.0, -0.5, 0.0)),
+         Constraint("x2", "x1", cost)),
+    ]
+    for value, same, other in pairs:
+        assert value == same and value is not same and value != other
+        assert hash(value) == hash(same) and len({value, same, other}) == 2
+
+
+def test_value_types_keep_their_repr():
+    assert repr(ContinuousDomain(-1.0, 1.0)) == "ContinuousDomain(lower=-1.0, upper=1.0)"
+    assert repr(Constraint("x1", "x2", QuadraticCost(1.0, -0.5, 0))) == (
+        "Constraint(i='x1', j='x2', cost=QuadraticCost(a=1.0, b=-0.5, c=0))")
+
+
+def test_a_parsed_document_survives_a_round_trip():
+    from swarmdcop import GenSpec, generate
+
+    # floats throughout, as `serialize_problem` writes them, take parse's fast path
+    text = serialize_problem(generate(GenSpec("scale_free", 40, 3, m=3)))
+    problem = parse_problem(text)
+    assert serialize_problem(problem) == text
+    assert parse_problem(serialize_problem(problem)) == problem
+    # integers, which take the per-field path, parse to the same values
+    doc = json.loads(text)
+    for entry in doc["constraints"][::2]:
+        entry["a"] = 2
+    for entry in doc["agents"][::3]:
+        entry["domain"] = [-5, 5]
+    mixed = parse_problem(json.dumps(doc))
+    assert parse_problem(serialize_problem(mixed)) == mixed
+    cost, domain = mixed.constraints[0].cost, mixed.domains[mixed.ids[0]]
+    assert (cost.a, type(cost.a), domain.upper, type(domain.upper)) == (2.0, float, 5.0, float)
 
 
 def test_ordinals_follow_alphabetical_ids():

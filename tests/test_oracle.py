@@ -31,6 +31,29 @@ from swarmdcop.swarm import RootState, apply_best, check_force_init, fresh_state
 from conftest import FIG1_FITNESS_P2, Recorder
 
 
+def test_no_solver_writes_into_the_generation_0_array(monkeypatch):
+    # the initial personal bests are the generation-0 positions, shared, so
+    # a write into either would change the other
+    problem, params = generate(GenSpec("scale_free", 30, 4, m=2)), SwarmParams(K=12, seed=9)
+    sim = Simulator(problem, params, 15)
+    initial = sim.swarm.position
+    snapshot = initial.copy()
+    sim.run_to_quiescence()
+    assert initial.tobytes() == snapshot.tobytes()
+
+    made = []
+
+    def recording(*args):
+        sw = swarm.Swarm(*args)
+        made.append((sw.position, sw.position.copy()))
+        return sw
+
+    monkeypatch.setattr(oracle, "Swarm", recording)
+    assert centralized_gcpso(problem, params, 15).gbest_series() == sim.trace.gbest_series()
+    ((initial, snapshot),) = made
+    assert initial.tobytes() == snapshot.tobytes()
+
+
 @pytest.mark.parametrize("topology,seed,n", [
     ("erdos_renyi", 1, 6),
     ("scale_free", 2, 9),

@@ -297,6 +297,22 @@ def test_a_block_of_one_agent_is_one_row_of_the_per_agent_state():
         _assert_row_equal(one.row(0), state)
 
 
+def test_the_initial_swarm_is_the_per_agent_draws_and_its_bests_share_them(monkeypatch):
+    monkeypatch.setattr(swarm, "BLOCK_ELEMENTS", 3 * 5)  # blocks of 3 agents, the last of 1
+    problem, params = generate(GenSpec("erdos_renyi", 7, 2, p=0.5)), SwarmParams(K=5, seed=6)
+    forced = {a: np.linspace(d.lower, d.upper, 5) for a, d in problem.domains.items()}
+    for force_init in (None, forced):
+        sw = Swarm(problem, params, force_init)
+        for o, a in enumerate(problem.ids):
+            row = sw.row(o)
+            _assert_row_equal(row, fresh_state(5, problem.domains[a], 6, o,
+                                               None if force_init is None else forced[a]))
+            # the personal bests start as the generation-0 positions themselves
+            assert row.pbest_component.ctypes.data == sw.position[o].ctypes.data
+    state = fresh_state(5, problem.domains["x1"], 6, 0)
+    assert state.pbest_component is state.position
+
+
 def test_rows_are_views_of_the_positions_and_a_step_writes_into_no_old_array(monkeypatch):
     monkeypatch.setattr(swarm, "BLOCK_ELEMENTS", 3 * 5)  # blocks of 3 agents, the last of 1
     problem, params = generate(GenSpec("erdos_renyi", 7, 2, p=0.5)), SwarmParams(K=5, seed=6)
