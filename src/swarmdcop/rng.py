@@ -8,7 +8,11 @@ seed and re-implementable in another language from this file alone:
 * ``keyed_uniforms`` -- stateless counter-based streams used by the solver.
   The uniform consumed by (agent ordinal, particle, iteration, draw slot) is a
   pure function of the key tuple, which is what lets the distributed runtime
-  and the centralized reference consume identical randomness.
+  and the centralized reference consume identical randomness. It is the
+  composition of two vectorized halves: ``stream_keys`` derives each stream's
+  key, and ``uniforms`` mixes a key's counters into doubles. A caller can
+  derive keys ahead of the draws that use them, as the swarm's key schedule
+  does, and draw the same bits.
 
 All arithmetic is modulo 2**64. Uniform doubles take the top 53 bits of a
 mixed word, giving values in [0, 1).
@@ -60,8 +64,8 @@ def derive_seed(seed: int, index: int) -> int:
 # 0-d arrays rather than numpy scalars: as the operand of an operation on a
 # few words, a 0-d array cost 0.5 us a call against 0.7-0.9 us for a numpy
 # scalar (timeit, numpy 2.4, 2 vCPUs)
-_S30, _S27, _S31, _U53, _M1, _M2 = (np.array(c, dtype=np.uint64)
-                                    for c in (30, 27, 31, 11, _MIX1, _MIX2))
+_S30, _S27, _S31, _U53, _M1, _M2, _GOLDEN = (np.array(c, dtype=np.uint64) for c in
+                                             (30, 27, 31, 11, _MIX1, _MIX2, GOLDEN))
 
 
 def _mix64_inplace(z: np.ndarray) -> np.ndarray:
@@ -82,6 +86,44 @@ def _counter_steps(n: int) -> np.ndarray:
     return steps
 
 
+def stream_keys(seed: int, ordinals, iterations, draws) -> np.ndarray:
+    """stream_key(seed, ordinal, iteration, draw) of every element of the
+    broadcast of `ordinals`, `iterations` and `draws`, as uint64 words.
+
+    Each absorb runs over the broadcast of the words absorbed so far: the
+    seed's once per ordinal, the iteration's once per (iteration, ordinal)
+    pair, so a (span, 2, n) grid of iterations (span, 1, 1), draws (2, 1)
+    and ordinals (n,) absorbs the seed into n words only.
+    """
+    ordinals = np.asarray(ordinals)
+    shape = np.broadcast(ordinals, iterations, draws).shape
+    # at least one word, so that every operation below is an in-place array one
+    h = np.atleast_1d(ordinals.astype(np.uint64))
+    h += _addend(seed)
+    _mix64_inplace(h)
+    for words in (iterations, draws):
+        h = _mix64_inplace(h + _addend(words))
+    return h.reshape(shape)
+
+
+def _addend(words) -> np.ndarray:
+    """GOLDEN + words mod 2**64 as uint64: what absorbing `words` adds."""
+    if isinstance(words, np.ndarray):
+        w = words.astype(np.uint64)
+        w += _GOLDEN
+        return w
+    return np.array((GOLDEN + words) & MASK64, dtype=np.uint64)
+
+
+def uniforms(keys: np.ndarray, n: int) -> np.ndarray:
+    """n doubles in [0, 1) per stream key: output k of key h is
+    mix64(h + GOLDEN*(k+1)) scaled to [0, 1), of shape keys.shape + (n,)."""
+    z = keys[..., None] + _counter_steps(n)
+    bits = _mix64_inplace(z)
+    bits >>= _U53
+    return np.multiply(bits, 2.0**-53)
+
+
 def keyed_uniforms(seed: int, ordinal: int | np.ndarray, iteration: int, draw: int,
                    n: int) -> np.ndarray:
     """Return n doubles in [0, 1) for a (seed, agent, iteration, draw) stream.
@@ -92,19 +134,10 @@ def keyed_uniforms(seed: int, ordinal: int | np.ndarray, iteration: int, draw: i
 
     `ordinal` may also be a 1-D numpy array of ordinals: the result then has
     one row of n doubles per ordinal, each bit-identical to the scalar call.
-    Every key grid, a scalar ordinal's one row included, is mixed as one array.
+    It is `uniforms(stream_keys(...), n)`, the key and the counter halves of
+    one definition.
     """
-    ordinals = np.asarray(ordinal)
-    # stream_key of every ordinal at once: absorb(h, w) = mix64(h + (GOLDEN + w)),
-    # and the first absorb, of the ordinal into the seed, adds the same words
-    h = ordinals.reshape(-1).astype(np.uint64)
-    for word in (seed, iteration, draw):
-        h += np.array((GOLDEN + word) & MASK64, dtype=np.uint64)
-        _mix64_inplace(h)
-    z = h[:, None] + _counter_steps(n)
-    bits = _mix64_inplace(z)
-    bits >>= _U53
-    return np.multiply(bits, 2.0**-53).reshape(ordinals.shape + (n,))
+    return uniforms(stream_keys(seed, ordinal, iteration, draw), n)
 
 
 class SplitMix64:

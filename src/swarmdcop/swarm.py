@@ -18,14 +18,16 @@ order, and writes into none of its arguments. Swarm state is agent-major:
 one row of K particle components per agent, a block of one agent included.
 `Swarm` is the one owner of the layout: the distributed runtime and the
 centralized reference both hold one and judge through it, which steps it
-once per verdict (one key grid per draw and one `apply_best` per block of
-agents) on the same keyed random draws, so their particle trajectories are
-bit-identical. Each generation's positions are one (n, K) array; a step
-makes a new one and writes into no old array, so the generation it stepped
-from stays intact for whoever still reads it. Set-up draws the initial
-positions once, from one (n, 2) table of bounds, into the generation-0
-array, which is also the initial personal bests: shared, not copied, since
-no array is written in place after set-up.
+once per verdict (one `apply_best` per block of agents) on the same keyed
+random draws, so their particle trajectories are bit-identical. A step only
+mixes its draws' counters: their stream keys come from a key schedule,
+derived ahead for a span of iterations (`SCHEDULE_WORDS`). Each
+generation's positions are one (n, K) array; a step makes a new one and
+writes into no old array, so the generation it stepped from stays intact
+for whoever still reads it. Set-up draws the initial positions once, from
+one (n, 2) table of bounds, into the generation-0 array, which is also the
+initial personal bests: shared, not copied, since no array is written in
+place after set-up.
 
 A step makes about 30 numpy calls per block, so with few agents a block
 their overhead is much of its cost. Computing in place halves a step's
@@ -47,7 +49,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .model import ContinuousDomain, Problem, evaluate_edge
-from .rng import DRAW_INIT, DRAW_R1, DRAW_R2, keyed_uniforms
+from .rng import DRAW_INIT, DRAW_R1, DRAW_R2, keyed_uniforms, stream_keys, uniforms
 
 # Most elements in one working array of a block of agents or edges by K
 # particles (at least one row): the bound on its working set. On the solve
@@ -57,6 +59,17 @@ from .rng import DRAW_INIT, DRAW_R1, DRAW_R2, keyed_uniforms
 # 0.66x, and peak_rss_mb +0.0%, +0.5% and +2.3% (sf1600-k50: +0.0%, +0.7%,
 # +2.3%). Whole (n, K) and (E, K) arrays had raised peak_rss_mb by 17-23%.
 BLOCK_ELEMENTS = 16384
+
+
+# A swarm's key schedule holds the R1 and R2 keys of its n agents for
+# max(1, SCHEDULE_WORDS // (2n)) iterations: 51 at n=20, and one iteration's
+# 3200 keys at n=1600. On the solve benchmark (2 vCPUs, alternating run.py
+# pairs), 2048 moved peak_rss_mb by -0.2% to +0.5% against keys derived per
+# step; 16384 words, a block's elements, raised it 0.6% more on sf1600-k50
+# and 1.1% more on er20-k2000 (4 of 4 pairs each) and was no faster on
+# er20-k2000.
+SCHEDULE_WORDS = 2048
+_R1_R2 = np.array((DRAW_R1, DRAW_R2)).reshape(2, 1)  # the draw slots of a schedule, (2, 1)
 
 
 def block_rows(K: int) -> int:
@@ -176,8 +189,11 @@ class Swarm:
     """The swarm of `problem`'s agents and the one owner of its layout.
 
     The agents sit in blocks of `block_rows(K)` in ordinal order; each block
-    steps with one key grid per draw and one `apply_best` on its (rows, K)
-    arrays. Each generation's positions are one agent-major (n, K) array,
+    steps with one `apply_best` on its (rows, K) arrays. Its R1 and R2 are
+    mixed from its rows of the key schedule: the R1 and R2 stream keys of
+    all n agents for `max(1, SCHEDULE_WORDS // 2n)` iterations, derived in
+    one pass and again only when a step's iteration falls outside them.
+    Each generation's positions are one agent-major (n, K) array,
     `position`, whose rows o are agent o's and whose block rows are views of
     it. `step` writes the next generation into a fresh array and writes into
     no old one, so a generation stays intact for whoever still reads it.
@@ -195,21 +211,24 @@ class Swarm:
         self.problem, self.params, self.verdict = problem, params, None
         # one initial state for the whole swarm; each block's starts as views
         # of its rows
-        bounds, ordinals = domain_bounds(list(problem.domains.values())), np.arange(n)
-        init = fresh_state(K, bounds, params.seed, ordinals,
+        bounds = domain_bounds(list(problem.domains.values()))
+        init = fresh_state(K, bounds, params.seed, np.arange(n),
                            None if force_init is None else [forced[a] for a in problem.ids])
         self.position = init.position
         self._rows = rows = block_rows(K)
-        self._blocks = []  # (rows of `position`, their ordinals, domain_bounds, state)
+        self._blocks = []  # (rows of `position`, their domain_bounds, state)
         for lo in range(0, n, rows):
             span = slice(lo, min(lo + rows, n))
             self._blocks.append((
-                span, ordinals[span],
+                span,
                 SimpleNamespace(lower=bounds.lower[span], upper=bounds.upper[span],
                                 width=bounds.width[span]),
                 AgentSwarmState(init.position[span], init.velocity[span],
                                 init.pbest_component[span])))
         self.root = RootState(np.full(K, np.inf))
+        # the key schedule: R1 and R2 keys (span, 2, n) of the iterations from
+        # `_scheduled_from`; derived by the first step that needs it
+        self._schedule, self._scheduled_from = np.empty((0, 2, n), dtype=np.uint64), 0
 
     def row(self, o: int) -> AgentSwarmState:
         """Agent o's components of the K particles: views of its rows."""
@@ -219,15 +238,26 @@ class Swarm:
 
     def step(self, best: BestInfo):
         """Step every block once under `best` into a fresh `position`."""
-        params, t = self.params, best.iteration
+        params, keys = self.params, self._keys(best.iteration)
         position = np.empty_like(self.position)
-        for span, ordinals, bounds, state in self._blocks:
-            r1 = keyed_uniforms(params.seed, ordinals, t, DRAW_R1, params.K)
-            r2 = keyed_uniforms(params.seed, ordinals, t, DRAW_R2, params.K)
+        for span, bounds, state in self._blocks:
+            r1 = uniforms(keys[0, span], params.K)
+            r2 = uniforms(keys[1, span], params.K)
             apply_best(state, best, params, bounds, r1, r2)
             position[span] = state.position
             state.position = position[span]
         self.position, self.verdict = position, best
+
+    def _keys(self, t: int) -> np.ndarray:
+        """The (2, n) R1 and R2 stream keys of iteration t, from the key
+        schedule, which is derived again from t when t falls outside it."""
+        if not 0 <= t - self._scheduled_from < len(self._schedule):
+            n = self.position.shape[0]
+            span = max(1, SCHEDULE_WORDS // (2 * n))
+            iterations = np.arange(t, t + span)[:, None, None]
+            self._schedule = stream_keys(self.params.seed, np.arange(n), iterations, _R1_R2)
+            self._scheduled_from = t
+        return self._schedule[t - self._scheduled_from]
 
     def judge(self, fitness: np.ndarray, t: int) -> BestInfo:
         """Judge iteration t's fitness against `root` and step under the

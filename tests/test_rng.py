@@ -11,6 +11,8 @@ from swarmdcop.rng import (
     keyed_uniforms,
     mix64,
     stream_key,
+    stream_keys,
+    uniforms,
 )
 
 
@@ -107,6 +109,32 @@ def test_key_grid_rows_follow_the_documented_formula(seed, ordinals, iteration, 
     assert grid.shape == (len(ordinals), n)
     assert grid.tolist() == [documented_row(seed, o, iteration, draw, n) for o in ordinals]
     assert keys.tolist() == ordinals  # the ordinals are not written
+
+
+@given(
+    seed=st.integers(0, MASK64),
+    ordinals=st.lists(st.integers(0, 100_000), min_size=1, max_size=8),
+    iterations=st.lists(st.integers(0, 10_000), min_size=1, max_size=4),
+    draws=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+    n=st.integers(1, 20),
+)
+@example(seed=0, ordinals=[0], iterations=[0], draws=[0], n=1)
+@example(seed=MASK64, ordinals=[3, 1, 4], iterations=[10_000, 0, 9], draws=[1, 2], n=5)
+def test_stream_keys_are_stream_key_element_by_element(seed, ordinals, iterations, draws, n):
+    # a (iterations, draws, ordinals) grid, as a swarm's key schedule is
+    keys = stream_keys(seed, np.array(ordinals), np.array(iterations)[:, None, None],
+                       np.array(draws)[:, None])
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [[[stream_key(seed, o, i, d) for o in ordinals] for d in draws]
+                             for i in iterations]
+    one = stream_keys(seed, ordinals[0], iterations[0], draws[0])
+    assert one.shape == () and int(one) == stream_key(seed, ordinals[0], iterations[0], draws[0])
+    rows = uniforms(keys, n)
+    assert rows.shape == keys.shape + (n,)
+    for a, i in enumerate(iterations):
+        for b, d in enumerate(draws):
+            assert rows[a, b].tobytes() == keyed_uniforms(seed, np.array(ordinals), i, d,
+                                                          n).tobytes()
 
 
 @pytest.mark.parametrize("ordinal", [np.int64(3), np.uint64(3), np.int32(3)],

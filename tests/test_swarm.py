@@ -10,6 +10,7 @@ from swarmdcop import (Constraint, ContinuousDomain, GenSpec, Problem, Quadratic
                        generate, swarm)
 from swarmdcop.rng import DRAW_INIT, DRAW_R1, DRAW_R2, keyed_uniforms
 from swarmdcop.swarm import (
+    AgentSwarmState,
     BestInfo,
     NaNFitness,
     RootState,
@@ -332,6 +333,60 @@ def test_rows_are_views_of_the_positions_and_a_step_writes_into_no_old_array(mon
         assert not np.shares_memory(sw.position, before)
         assert [before.tobytes()] + [getattr(row, f).tobytes()
                                      for row in rows for f in fields] == taken
+
+
+def _stepped_by_block_draws(problem, params, iterations):
+    """Each agent's final state, stepped at `iterations` with each block's
+    R1 and R2 drawn by `keyed_uniforms` at the step's iteration."""
+    n, K, seed, rows = problem.n_agents, params.K, params.seed, swarm.block_rows(params.K)
+    domains = list(problem.domains.values())
+    blocks = []
+    for lo in range(0, n, rows):
+        ordinals, bounds = np.arange(lo, min(lo + rows, n)), domain_bounds(domains[lo:lo + rows])
+        blocks.append((ordinals, bounds, fresh_state(K, bounds, seed, ordinals)))
+    for t in iterations:
+        for ordinals, bounds, state in blocks:
+            apply_best(state, _scheduled_verdict(t, K), params, bounds,
+                       keyed_uniforms(seed, ordinals, t, DRAW_R1, K),
+                       keyed_uniforms(seed, ordinals, t, DRAW_R2, K))
+    return [AgentSwarmState(state.position[r], state.velocity[r], state.pbest_component[r])
+            for *_, state in blocks for r in range(len(state.position))]
+
+
+def _scheduled_verdict(t, K):
+    return _verdict(g_idx=t % K, g_fit=1.0, changed=True, t=t,
+                    improved=keyed_uniforms(8, 30 + t, 0, DRAW_INIT, K) < 0.5)
+
+
+@pytest.mark.parametrize("n, schedule_words, iterations, derived_at", [
+    # the er20 span of 51 iterations, and past it
+    (20, None, range(60), [0, 51]),
+    # spans of 3 iterations
+    (7, 3 * 2 * 7, range(8), [0, 3, 6]),
+    # direct steps back and forward over spans of 146 iterations
+    (7, None, [5, 6, 2, 60, 59, 0, 200, 3, 4, 150], [5, 2, 0, 200, 3, 150]),
+    # a lone agent: spans of 1024 iterations
+    (1, None, [0, 1, 2, 5000, 1], [0, 5000, 1]),
+    # a cap below one iteration's keys: spans of 1
+    (7, 1, [0, 1, 2, 1, 9], [0, 1, 2, 1, 9]),
+], ids=["er20-span", "boundaries", "jumps", "lone-agent", "span-of-one"])
+def test_the_key_schedule_draws_what_each_block_draws(monkeypatch, n, schedule_words, iterations,
+                                                      derived_at):
+    monkeypatch.setattr(swarm, "BLOCK_ELEMENTS", 3 * 5)  # blocks of 3 agents
+    if schedule_words is not None:
+        monkeypatch.setattr(swarm, "SCHEDULE_WORDS", schedule_words)
+    derived, stream_keys = [], swarm.stream_keys
+    monkeypatch.setattr(swarm, "stream_keys", lambda seed, ordinals, iterations, draws: (
+        derived.append(int(iterations.flat[0])) or stream_keys(seed, ordinals, iterations, draws)))
+    problem = (generate(GenSpec("erdos_renyi", n, 4, p=0.5)) if n > 1 else
+               Problem(domains={"x1": ContinuousDomain(-3.0, 2.0)}, constraints=[]))
+    params = SwarmParams(K=5, w=1.0, c1=2.0, c2=2.0, seed=(1 << 64) - 1)
+    sw = Swarm(problem, params)
+    for t in iterations:
+        sw.step(_scheduled_verdict(t, 5))
+    assert derived == derived_at
+    for o, state in enumerate(_stepped_by_block_draws(problem, params, iterations)):
+        _assert_row_equal(sw.row(o), state)
 
 
 @pytest.mark.parametrize("clamp", [False, True])
