@@ -40,6 +40,9 @@ class ContinuousDomain:
             raise ProblemFormatError(f"domain[{pos}]: number must be finite")
         if not self.lower < self.upper:
             raise ProblemFormatError("domain: lower bound must be < upper bound")
+        # the swarm draws positions as lower + u * width
+        if not isfinite(self.upper - self.lower):
+            raise ProblemFormatError("domain: upper - lower must be finite")
 
     @property
     def width(self) -> float:

@@ -59,14 +59,16 @@ Each round is one superstep. The simulator routes the round's deliveries
 into per-agent inboxes, and every agent with mail fires: it absorbs its
 inbox and runs the protocol, appending its records to the simulator's one
 outbox as it makes them (its sends and, if observed, a `Moved` as it
-moves) and its edge costs, with their operands, to the round's
-`EdgeBatch`. A firing makes no list or dict of its own: inboxes, held
-positions (a dict keyed by H) and fold slots (a list) are made at set-up
-and reset in place, so absorbing, folding and routing an envelope are a
-few dict or list lookups each, with no scan over agents, neighbors or
-slots, and a delivered envelope is freed once its recipient has fired.
-Then the round's edge costs are evaluated, long runs with one gathered
-`evaluate_edge` call each. Last, the outbox goes out in the order it was
+moves) and each edge cost it sends, as one `(envelope, cost, xi, xj)`
+record with the operands in scope order, to the round's edge list. A
+firing makes no list or dict of its own: inboxes, held positions (a dict
+keyed by H), fold slots (a list) and the edge list are made at set-up and
+emptied or reset in place, so absorbing, folding and routing an envelope
+are a few dict or list lookups each, with no scan over agents, neighbors
+or slots, and a delivered envelope is freed once its recipient has fired.
+Then the round's edge records are evaluated, long runs with one gathered
+`evaluate_edge` call each, and the edge list is emptied, so no record
+outlives its round. Last, the outbox goes out in the order it was
 made, its envelopes are counted and queued, and the root's verdicts are
 written to the trace. The root judges only in a round in which it fires
 alone, so each trace row counts the envelopes sent up to and including the
@@ -247,37 +249,24 @@ class RoundReport:
     sent: int
 
 
-class EdgeBatch:
-    """The edge costs sent in one round, which the simulator evaluates at the
-    end of the round: each EDGE_FITNESS envelope, its constraint's cost and
-    the constraint's operands in scope order."""
-
-    __slots__ = ("envelopes", "costs", "xi", "xj")
-
-    def __init__(self):
-        self.envelopes: list[Envelope] = []
-        self.costs: list[QuadraticCost] = []
-        self.xi: list[np.ndarray] = []
-        self.xj: list[np.ndarray] = []
-
-
 class AgentMachine:
     """One agent: holds its swarm components, sends its iteration-0
     positions at set-up (`start`) and then acts only on received envelopes.
     Its records go into the simulator's outbox as it makes them, and its
-    edge costs into the round's `EdgeBatch`."""
+    edge costs into the round's edge list, one `(envelope, cost, xi, xj)`
+    record each."""
 
     # slots: there is one instance per agent, and on CPython 3.11 an instance
     # with more than 26 attributes carries a 1.6 KB attribute dict, not 0.3 KB
     __slots__ = ("id", "ordinal", "max_iterations", "is_root", "H", "L",
                  "parent", "children", "others", "slots", "constraints", "swarm",
-                 "position", "outbox", "edge_batch", "observed",
+                 "position", "outbox", "edges", "observed",
                  "own_iter", "edge_done_iter", "held", "n_held",
                  "fitness_next", "parts", "n_parts", "completed")
 
     def __init__(self, agent_id: str, problem: Problem, tree: PseudoTree,
                  max_iterations: int, observed: bool, swarm: Swarm, outbox: list,
-                 edge_batch: EdgeBatch):
+                 edges: list):
         self.id = agent_id
         self.ordinal = problem.ordinals[agent_id]
         self.max_iterations = max_iterations
@@ -306,7 +295,7 @@ class AgentMachine:
         # shared by all agents: the simulator's outbox, every record made
         # this round, and the round's edge costs
         self.outbox = outbox
-        self.edge_batch = edge_batch
+        self.edges = edges
         self.observed = observed
         self.own_iter = 0               # iteration of the current positions
         self.edge_done_iter = -1
@@ -468,20 +457,13 @@ class AgentMachine:
         this agent's `position`, both of the iteration the envelope is
         tagged with."""
         t, sender, own, held = self.own_iter, self.id, self.position, self.held
-        outbox, batch = self.outbox, self.edge_batch
-        envelopes, costs, xi, xj = batch.envelopes, batch.costs, batch.xi, batch.xj
+        outbox, edges = self.outbox, self.edges
         for h, con in zip(held, self.constraints):
             env = Envelope(_EDGE_FITNESS, t, sender, h)
             outbox.append(env)
-            envelopes.append(env)
-            costs.append(con.cost)
-            if con.i == h:
-                xi.append(held[h])
-                xj.append(own)
-            else:
-                xi.append(own)
-                xj.append(held[h])
-            held[h] = None
+            theirs, held[h] = held[h], None
+            edges.append((env, con.cost, theirs, own) if con.i == h else
+                         (env, con.cost, own, theirs))
         self.n_held = 0
         self.edge_done_iter = t
 
@@ -533,7 +515,9 @@ class Simulator:
         self.tree = tree = build_bfs_pseudotree(problem)
 
         self.swarm = Swarm(problem, params, force_init)
-        self._edges = EdgeBatch()
+        # the round's edge costs: one (envelope, cost, xi, xj) record per
+        # EDGE_FITNESS envelope, with the operands in scope order
+        self._edges: list[tuple[Envelope, QuadraticCost, np.ndarray, np.ndarray]] = []
         # the round's records in the order they were made: every Envelope
         # sent and, if observed, every Moved
         self._outbox: list[Envelope | Moved] = []
@@ -634,7 +618,7 @@ class Simulator:
             inbox = inboxes[o]
             machines[o].fire(round_no, inbox)
             inbox.clear()
-        if self._edges.envelopes:
+        if self._edges:
             self._evaluate_edges()
         self._register_sends()
         self._drain_root(round_no)
@@ -643,27 +627,23 @@ class Simulator:
         """Cost the round's edge-cost sends, in firing order and in runs of a
         block of rows: a run of at least `GATHERED_EDGES` edges with one
         `evaluate_edge` call on gathered operands, a shorter run edge by
-        edge. Empties the batch."""
-        batch = self._edges
-        envelopes, costs, xi, xj = batch.envelopes, batch.costs, batch.xi, batch.xj
-        rows = block_rows(self.params.K)
-        for lo in range(0, len(envelopes), rows):
-            hi = lo + rows
-            run = envelopes[lo:hi]
+        edge. Empties the edge list."""
+        edges, K = self._edges, self.params.K
+        rows = block_rows(K)
+        for lo in range(0, len(edges), rows):
+            run = edges[lo:lo + rows]
             if len(run) < GATHERED_EDGES:
-                for env, cost, a, b in zip(run, costs[lo:hi], xi[lo:hi], xj[lo:hi]):
-                    env.fitness = evaluate_edge(cost, a, b)
+                for env, cost, xi, xj in run:
+                    env.fitness = evaluate_edge(cost, xi, xj)
                 continue
-            shape = (len(run), self.params.K)
-            values = evaluate_edge(cost_columns(costs[lo:hi]),
-                                   np.concatenate(xi[lo:hi]).reshape(shape),
-                                   np.concatenate(xj[lo:hi]).reshape(shape))
-            for env, row in zip(run, values):
+            envelopes, costs, xi, xj = zip(*run)
+            shape = (len(run), K)
+            values = evaluate_edge(cost_columns(costs),
+                                   np.concatenate(xi).reshape(shape),
+                                   np.concatenate(xj).reshape(shape))
+            for env, row in zip(envelopes, values):
                 env.fitness = row
-        envelopes.clear()
-        costs.clear()
-        xi.clear()
-        xj.clear()
+        edges.clear()
 
     def run_to_quiescence(self) -> AnytimeTrace:
         while not self.quiescent:

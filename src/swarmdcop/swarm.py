@@ -315,6 +315,11 @@ def check_force_init(force_init: dict | None, domains: dict[str, ContinuousDomai
             raise ValueError(f"{where}: {exc}") from None
         if positions.shape != (K,):
             raise ValueError(f"{where}: forced initial positions must have shape ({K},)")
+        # numpy converts strings, bools and None to floats too
+        raw = force_init[agent]
+        if not (raw.dtype.kind in "iuf" if isinstance(raw, np.ndarray) else
+                all(isinstance(x, Real) and not isinstance(x, bool) for x in raw)):
+            raise ValueError(f"{where}: forced initial positions must be numbers")
         if not np.isfinite(positions).all():
             raise ValueError(f"{where}: forced initial positions must be finite")
         if positions.min() < domain.lower or positions.max() > domain.upper:

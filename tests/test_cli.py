@@ -154,6 +154,9 @@ def test_solve_verbose_event_log(fig1_files, tmp_path, capsys):
     ([float("nan"), 0.0], "must be finite"),
     (5, "must have shape (2,)"),
     (["left", 0.0], "could not convert string to float"),
+    (["1.5", 0.0], "forced initial positions must be numbers"),
+    ([True, False], "forced initial positions must be numbers"),
+    ([None, 0.0], "forced initial positions must be numbers"),
 ])
 def test_solve_rejects_malformed_force_init_naming_the_agent(fig1_files, tmp_path, capsys,
                                                              bad, message):
@@ -205,6 +208,20 @@ def test_solve_reports_an_oversized_integer_with_its_path(tmp_path, capsys):
     assert main(["solve", str(problem_path), "--particles", "2", "--iters", "1",
                  "--trace", str(tmp_path / "t.csv")]) == 1
     assert capsys.readouterr().err == "error: agents[0].domain[1]: number must be finite\n"
+
+
+def test_solve_rejects_a_domain_whose_width_overflows(tmp_path, capsys):
+    # both bounds are finite, but upper - lower is inf: no swarm is drawn
+    problem_path = tmp_path / "wide.json"
+    problem_path.write_text(
+        '{"agents": [{"id": "x1", "domain": [-1e308, 1e308]}, {"id": "x2", "domain": [-1, 1]}],'
+        ' "constraints": [{"scope": ["x1", "x2"], "a": 1, "b": 0, "c": 1}]}', encoding="utf-8")
+    for oracle in ([], ["--oracle", "centralized"]):
+        assert main(["solve", str(problem_path), "--particles", "2", "--iters", "1",
+                     "--trace", str(tmp_path / "t.csv")] + oracle) == 1
+        # the whole of stderr: no RuntimeWarning from the draw
+        assert capsys.readouterr().err == "error: agents[0].domain: upper - lower must be finite\n"
+    assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize("flag", ["--w", "--c1", "--c2"])

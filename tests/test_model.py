@@ -212,6 +212,10 @@ def test_invalid_domain_rejected():
         ContinuousDomain(math.nan, 1.0)
     with pytest.raises(ProblemFormatError, match=r"^domain\[0\]: number must be finite$"):
         ContinuousDomain(-math.inf, math.nan)
+    # finite bounds whose width overflows to inf
+    with pytest.raises(ProblemFormatError, match="^domain: upper - lower must be finite$"):
+        ContinuousDomain(-1e308, 1e308)
+    assert ContinuousDomain(-8e307, 8e307).width == 1.6e308
 
 
 def test_value_types_compare_and_hash_by_value():
@@ -309,6 +313,8 @@ def _doc(agents='{"id": "x1", "domain": [-1, 1]}, {"id": "x2", "domain": [-1, 1]
                  "agents[0].domain[1]: number must be finite", id="bound-not-finite"),
     pytest.param(_doc(agents='{"id": "x1", "domain": [1, 1]}', constraints=""),
                  "agents[0].domain: lower bound must be < upper bound", id="bounds-not-ordered"),
+    pytest.param(_doc(agents='{"id": "x1", "domain": [-1e308, 1e308]}', constraints=""),
+                 "agents[0].domain: upper - lower must be finite", id="width-not-finite"),
     pytest.param(_doc(constraints="[]"), "constraints[0]: expected an object",
                  id="constraint-not-an-object"),
     pytest.param(_doc(constraints='{"a": 1, "b": 0, "c": 0}'),

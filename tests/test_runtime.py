@@ -753,10 +753,9 @@ def test_edge_costs_read_only_what_was_delivered(monkeypatch, spec, schedule):
         return fire(machine, round_no, inbox)
 
     def sending(machine):
-        batch = machine.edge_batch
-        start = len(batch.envelopes)
+        start = len(machine.edges)
         send(machine)
-        for env, xi, xj in zip(batch.envelopes[start:], batch.xi[start:], batch.xj[start:]):
+        for env, _, xi, xj in machine.edges[start:]:
             operands.append((machine.id, env.recipient, env.iteration, xi, xj))
 
     def record(event):
@@ -775,6 +774,38 @@ def test_edge_costs_read_only_what_was_delivered(monkeypatch, spec, schedule):
         theirs, mine = delivered[agent, h, t], own[agent, t]
         expected = (theirs, mine) if problem.adjacency[agent][h].i == h else (mine, theirs)
         assert xi is expected[0] and xj is expected[1]
+
+
+@pytest.mark.parametrize("schedule", [None, 5], ids=["synchronous", "shuffled"])
+def test_no_edge_record_outlives_its_round(monkeypatch, schedule):
+    # every edge cost goes through the simulator's one edge list, which is
+    # empty again after every round, so neither a record nor the generation
+    # arrays it references are kept past the round that made it
+    problem, T = generate(GenSpec("erdos_renyi", 40, 3, p=0.3)), 6
+    evaluated = []  # records on the list at each evaluation
+    evaluate = Simulator._evaluate_edges
+
+    def counting(sim):
+        evaluated.append(len(sim._edges))
+        evaluate(sim)
+
+    step = Simulator.step
+
+    def checked(sim):
+        report = step(sim)
+        assert sim._edges == []
+        return report
+
+    monkeypatch.setattr(Simulator, "_evaluate_edges", counting)
+    monkeypatch.setattr(Simulator, "step", checked)
+    sim = Simulator(problem, SwarmParams(K=3, seed=2), T)
+    assert sim._edges == [] and all(m.edges is sim._edges for m in sim.machines)
+    if schedule is None:
+        sim.run_to_quiescence()
+    else:
+        run_shuffled(sim, schedule)
+    assert sum(evaluated) == T * len(problem.constraints)
+    assert max(evaluated) >= runtime.GATHERED_EDGES  # a gathered run too
 
 
 class _Snapshots:

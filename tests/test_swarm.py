@@ -16,6 +16,7 @@ from swarmdcop.swarm import (
     RootState,
     Swarm,
     apply_best,
+    check_force_init,
     domain_bounds,
     fresh_state,
     position_update,
@@ -408,6 +409,21 @@ def test_apply_best_on_a_block_equals_per_agent_calls(clamp):
         for k, (state, domain) in enumerate(zip(states, domains)):
             apply_best(state, best, params, domain, *r[k])
         _assert_rows_equal(block, states)
+
+
+@pytest.mark.parametrize("forced", [
+    ["1.5", 0.0], [0.5, True], [None, 0.0], np.array([True, False]), np.array(["1.5", "0"]),
+    np.array([0.5, 1.0], dtype=object),
+], ids=["string", "bool", "None", "bool-array", "string-array", "object-array"])
+def test_force_init_takes_only_numbers(forced):
+    domains = {"x1": ContinuousDomain(-2.0, 2.0)}
+    with pytest.raises(ValueError,
+                       match=r"^force_init\['x1'\]: forced initial positions must be numbers$"):
+        check_force_init({"x1": forced}, domains, 2)
+    # what numpy converts to the same floats, but typed as numbers, passes
+    for numbers in ([1, 0.5], (np.float32(1.0), np.int64(0)), np.array([1.0, 0.5]),
+                    np.array([1, 0], dtype=np.int32), np.array([1, 0], dtype=np.uint8)):
+        assert check_force_init({"x1": numbers}, domains, 2)["x1"].dtype == np.float64
 
 
 def test_velocity_clamp_limits_speed():
